@@ -1,6 +1,7 @@
 //! The exploration engine: a controlled scheduler driving [`minilang::Vm`]
-//! one visible operation at a time, with DFS + sleep-set pruning, random
-//! walks, wait-for-graph deadlock detection and schedule minimization.
+//! one visible operation at a time, with one DFS (DPOR, or full expansion
+//! as its unreduced oracle) pruned by sleep sets, random walks,
+//! wait-for-graph deadlock detection and schedule minimization.
 
 use crate::clocks::RaceDetector;
 use crate::{CheckConfig, CheckReport, CheckStats, Strategy, Verdict};
@@ -305,15 +306,6 @@ impl Exec {
     }
 }
 
-/// Do two op keys commute (are independent)? Used by sleep sets (a pruned
-/// choice stays asleep while only independent ops execute) and by DPOR's
-/// dependence scans. The relation itself lives with the op vocabulary in
-/// [`minilang::OpKey::commutes_with`], so external schedulers share one
-/// definition.
-pub(crate) fn independent(a: &OpKey, b: &OpKey) -> bool {
-    a.commutes_with(b)
-}
-
 /// Replay a previously reported repro `schedule` from scratch. Entries
 /// naming threads that are not currently enabled are skipped (the schedule
 /// is a guide, not a transcript); once the schedule is exhausted the
@@ -407,12 +399,14 @@ struct PathStep {
     origin: StepOrigin,
 }
 
-/// A live DPOR branch point: the enabled candidates and which of them the
-/// search has committed to explore. Children are *earned*, not enumerated:
-/// the frame starts with one member and grows when a later pending op is
-/// found dependent on (and unordered with) one of its children's steps.
+/// A live branch point: the enabled candidates and which of them the
+/// search has committed to explore. Under DPOR children are *earned*, not
+/// enumerated: the frame starts with one member and grows when a later
+/// pending op is found dependent on (and unordered with) one of its
+/// children's steps. Full expansion commits every member when the frame
+/// opens (see [`Frame::open`]).
 #[derive(Debug)]
-struct DporFrame {
+pub(crate) struct Frame {
     /// Enabled threads with pending ops at the branch state, ascending.
     enabled: Vec<usize>,
     /// Members committed for exploration (insertion order; picks are by
@@ -424,9 +418,39 @@ struct DporFrame {
     path_len: usize,
 }
 
-impl DporFrame {
+impl Frame {
+    /// Open a frame over `members` with its seed committed — the one seed
+    /// rule, shared by the frame loop and `crate::pool`'s root merge. Full
+    /// expansion (`!cfg.dpor`) commits every member up front: nothing is
+    /// earned, so the search is the unreduced sleep-set DFS. DPOR commits
+    /// the lowest-id member that is not in `sleep` and earns the rest;
+    /// none when every member sleeps, since explored sibling subtrees
+    /// already cover the frame.
+    pub(crate) fn open(
+        cfg: &CheckConfig,
+        members: Vec<usize>,
+        sleep: &[(usize, OpKey)],
+        path_len: usize,
+    ) -> Frame {
+        let backtrack = if cfg.dpor {
+            let awake = members
+                .iter()
+                .copied()
+                .find(|&t| !sleep.iter().any(|&(st, _)| st == t));
+            awake.into_iter().collect()
+        } else {
+            members.clone()
+        };
+        Frame {
+            enabled: members,
+            backtrack,
+            done: Vec::new(),
+            path_len,
+        }
+    }
+
     /// Add `t` unless already committed; true if it was new.
-    fn add(&mut self, t: usize) -> bool {
+    pub(crate) fn add(&mut self, t: usize) -> bool {
         if self.backtrack.contains(&t) || self.done.contains(&t) {
             return false;
         }
@@ -434,13 +458,32 @@ impl DporFrame {
         true
     }
 
-    /// Next member to explore: lowest-id committed-but-not-done thread.
-    fn next_member(&self) -> Option<usize> {
-        self.backtrack
+    /// Commit every member (a conservative insertion); returns how many
+    /// were new.
+    pub(crate) fn add_all(&mut self) -> u64 {
+        let mut added = 0;
+        for i in 0..self.enabled.len() {
+            added += u64::from(self.add(self.enabled[i]));
+        }
+        added
+    }
+
+    /// Pick the next member to explore — the lowest-id committed thread not
+    /// yet picked — and mark it picked.
+    pub(crate) fn pick(&mut self) -> Option<usize> {
+        let t = self
+            .backtrack
             .iter()
             .copied()
             .filter(|t| !self.done.contains(t))
-            .min()
+            .min()?;
+        self.done.push(t);
+        Some(t)
+    }
+
+    /// Members never picked, which DPOR reports as pruned siblings.
+    pub(crate) fn unpicked(&self) -> u64 {
+        (self.enabled.len() - self.done.len()) as u64
     }
 }
 
@@ -490,16 +533,16 @@ impl ConflictIndex {
     }
 }
 
-/// Bounded DFS with sleep sets, in one of two modes sharing all policy
-/// code (sleep filtering, budget spends, trace recording):
+/// Bounded DFS with sleep sets: one frame loop ([`Dfs::explore_from`]) in
+/// one of two modes, which differ only in how a frame's backtrack set
+/// fills and where explored members sleep:
 ///
-/// * **DPOR** (`cfg.dpor`, the default): branch children are earned from
-///   dependence scans instead of enumerated (`explore_from_dpor`).
-/// * **sleep-set DFS**: every enabled sibling is entered, pruned by sleep
-///   sets alone (`explore_from`) — the unreduced search DPOR is checked
-///   against.
+/// * **DPOR** (`cfg.dpor`, the default): a frame opens with one member and
+///   earns the rest from dependence scans.
+/// * **Full expansion**: a frame commits every member when it opens and
+///   skips the scans — the unreduced search DPOR is checked against.
 ///
-/// Both run one [`Exec`] per entry path: each branch point takes an
+/// It runs one [`Exec`] per entry path: each branch point takes an
 /// [`ExecSnapshot`] and siblings restore it, so the shared prefix executes
 /// once.
 struct Dfs<'a> {
@@ -518,15 +561,16 @@ struct Dfs<'a> {
     checked_since_spend: bool,
     /// Execution-cost counters surfaced through `check_with_stats`.
     stats: CheckStats,
-    /// DPOR: every visible step on the current path, in order.
+    /// Every visible step on the current path, in order, for DPOR's
+    /// dependence scans.
     path_log: Vec<PathStep>,
-    /// DPOR: per-object index over `path_log` for the dependence scan.
+    /// Per-object index over `path_log` for the dependence scan.
     conflicts: ConflictIndex,
-    /// DPOR: live branch frames, root-to-leaf.
-    frames: Vec<DporFrame>,
-    /// DPOR, parallel shards: the root-branch enabled set this unit's
-    /// dealt choice was drawn from (`None` when this Dfs owns the whole
-    /// tree and keeps the root as a real frame).
+    /// Live branch frames, root-to-leaf.
+    frames: Vec<Frame>,
+    /// Parallel shards: the root-branch member set this unit's dealt
+    /// choice was drawn from (`None` when this Dfs owns the whole tree and
+    /// keeps the root as a real frame).
     unit_root_enabled: Option<Vec<usize>>,
     /// DPOR, parallel shards: root-frame backtrack additions earned while
     /// exploring this shard, for the coordinator's membership loop.
@@ -559,30 +603,8 @@ impl<'a> Dfs<'a> {
         }
     }
 
-    /// Explore all schedules extending `path`, dispatching on engine mode.
-    /// `preemptions` is the preemptive-switch count the path itself has
-    /// already paid (nonzero only for dealt parallel shards).
-    fn run(
-        &mut self,
-        path: &[usize],
-        sleep: Vec<(usize, OpKey)>,
-        depth: u32,
-        preemptions: u32,
-    ) -> DfsOutcome {
-        let mut out = if self.cfg.dpor {
-            self.explore_path_dpor(path, depth, preemptions)
-        } else {
-            self.explore_path(path, sleep, depth, preemptions)
-        };
-        if self.scan_capped {
-            out.complete = false;
-            out.within_bound = false;
-        }
-        out
-    }
-
     /// Account a Stop: turn it into the outcome the owning frame returns,
-    /// spending the schedule. (Shared by both engine modes.)
+    /// spending the schedule.
     fn stop_outcome(&mut self, ex: &Exec, stop: Stop) -> DfsOutcome {
         let complete = !matches!(stop, Stop::Truncated);
         let failure = match stop {
@@ -597,8 +619,18 @@ impl<'a> Dfs<'a> {
         }
     }
 
-    /// Sleep-set DFS entry: replay `path` once on a fresh Exec (applying the
-    /// sleep filter on the final branch choice), then continue in place.
+    /// Explore all schedules extending `path` (a dealt shard's root-branch
+    /// choice, or nothing for a whole-tree run): replay it on a fresh Exec,
+    /// logging each step so deeper dependence scans can see the prefix,
+    /// then hand off to the frame loop with the dealt `sleep` set (already
+    /// filtered against the dealt choice, see [`split_root`]).
+    /// `preemptions` is the preemptive-switch count the path itself has
+    /// already paid (nonzero only for dealt shards).
+    ///
+    /// Prefix states are not scanned: every step behind them is forced or
+    /// covered by the root deal, so insertions would be no-ops — except
+    /// against the dealt choice itself, whose frame the coordinator owns
+    /// (origin [`StepOrigin::UnitRoot`]).
     fn explore_path(
         &mut self,
         path: &[usize],
@@ -606,228 +638,6 @@ impl<'a> Dfs<'a> {
         depth: u32,
         preemptions: u32,
     ) -> DfsOutcome {
-        let mut ex = Exec::new(self.program, self.cfg);
-        let out = self.explore_path_in(&mut ex, path, sleep, depth, preemptions);
-        self.stats.vm_steps += ex.work_steps;
-        out
-    }
-
-    fn explore_path_in(
-        &mut self,
-        ex: &mut Exec,
-        path: &[usize],
-        mut sleep: Vec<(usize, OpKey)>,
-        depth: u32,
-        preemptions: u32,
-    ) -> DfsOutcome {
-        let mut i = 0;
-        while i < path.len() {
-            if let Some(stop) = ex.status() {
-                return self.stop_outcome(ex, stop);
-            }
-            let en = ex.enabled();
-            let tid = if en.len() == 1 {
-                en[0]
-            } else {
-                let t = path[i];
-                i += 1;
-                t
-            };
-            // The final branch choice starts this frame's own segment: it
-            // wakes conflicting sleepers (ops deeper in the prefix were
-            // filtered by the frames that handed us `sleep`).
-            if i == path.len() {
-                match ex.pending_op(tid) {
-                    Some(op) => sleep.retain(|(_, sop)| independent(sop, &op)),
-                    None => sleep.clear(),
-                }
-            }
-            if let Some(stop) = ex.step(tid) {
-                return self.stop_outcome(ex, stop);
-            }
-        }
-        self.explore_from(ex, sleep, depth, preemptions)
-    }
-
-    /// The sleep-set DFS frame loop: `ex` sits just past this frame's last
-    /// branch choice. Advance through single-choice points (pruning on and
-    /// filtering `sleep` as they go); at a branch, snapshot once and
-    /// restore per sibling.
-    ///
-    /// `sleep` maps a thread id to the op it had when put to sleep; entries
-    /// are valid at the node this frame owns and are filtered against
-    /// every op this frame executes beyond that point.
-    fn explore_from(
-        &mut self,
-        ex: &mut Exec,
-        mut sleep: Vec<(usize, OpKey)>,
-        depth: u32,
-        preemptions: u32,
-    ) -> DfsOutcome {
-        let en = loop {
-            if let Some(stop) = ex.status() {
-                return self.stop_outcome(ex, stop);
-            }
-            let en = ex.enabled();
-            if en.len() > 1 {
-                break en;
-            }
-            let t = en[0];
-            // If the lone enabled thread is asleep on this frame's own
-            // segment, the continuation is equivalent to an explored one.
-            if sleep.iter().any(|&(st, _)| st == t) {
-                self.spend(ex, &None);
-                return DfsOutcome {
-                    failure: None,
-                    complete: true,
-                    within_bound: true,
-                };
-            }
-            match ex.pending_op(t) {
-                Some(op) => sleep.retain(|(_, sop)| independent(sop, &op)),
-                None => sleep.clear(),
-            }
-            if let Some(stop) = ex.step(t) {
-                return self.stop_outcome(ex, stop);
-            }
-        };
-
-        if depth >= self.cfg.dfs_depth {
-            // Too deep to enumerate: finish this one path first-choice and
-            // mark the subtree incomplete.
-            let outcome = self.finish_one(ex, en[0]);
-            return DfsOutcome {
-                failure: outcome.failure,
-                complete: false,
-                within_bound: false,
-            };
-        }
-
-        // A switch away from the thread that took the last step, while it
-        // is still enabled here, costs one preemption (see `preempt_cost`).
-        let last = ex.schedule.last().copied();
-        let snap = ex.snapshot();
-        self.stats.snapshots += 1;
-        let prefix_steps = ex.steps;
-        let mut dirty = false;
-        let mut complete = true;
-        let mut within = true;
-        for &t in &en {
-            let cost = preempt_cost(last, t, &en);
-            if let Some(b) = self.cfg.preemption_bound {
-                if preemptions + cost > b {
-                    // Outside the bound by design: not counted against
-                    // `within_bound`, never put to sleep (it was not
-                    // explored, so nothing may prune against it), and no
-                    // budget check (serial and merge agree on that).
-                    self.stats.bound_pruned += 1;
-                    complete = false;
-                    continue;
-                }
-            }
-            self.checked_since_spend = true;
-            if self.budget.empty() {
-                complete = false;
-                within = false;
-                break;
-            }
-            if dirty {
-                ex.restore(&snap);
-                dirty = false;
-            }
-            let Some(op_t) = ex.pending_op(t) else {
-                continue;
-            };
-            if sleep.iter().any(|&(st, _)| st == t) {
-                continue; // asleep: an equivalent schedule was already explored
-            }
-            // The child wakes any sleeper whose op conflicts with `op_t`.
-            let child_sleep: Vec<(usize, OpKey)> = sleep
-                .iter()
-                .copied()
-                .filter(|(_, sop)| independent(sop, &op_t))
-                .collect();
-            // Without the snapshot this child would re-execute the prefix
-            // from the root; the restore above replaced exactly that work.
-            self.stats.replay_steps_saved += prefix_steps;
-            dirty = true;
-            let out = if let Some(stop) = ex.step(t) {
-                self.stop_outcome(ex, stop)
-            } else {
-                self.explore_from(ex, child_sleep, depth + 1, preemptions + cost)
-            };
-            if out.failure.is_some() {
-                return out;
-            }
-            complete &= out.complete;
-            within &= out.within_bound;
-            sleep.push((t, op_t));
-        }
-        DfsOutcome {
-            failure: None,
-            complete,
-            within_bound: within,
-        }
-    }
-
-    /// Account one finished/pruned/failed schedule — the single place all
-    /// budget spending goes through, so worker traces cannot drift from
-    /// the serial accounting.
-    fn spend(&mut self, ex: &Exec, failure: &Option<(Verdict, Vec<usize>)>) {
-        self.schedules += 1;
-        self.steps += ex.steps;
-        self.budget.spend(ex);
-        if self.record {
-            self.trace.push(SchedEntry {
-                steps: ex.steps,
-                failure: failure.clone(),
-            });
-        }
-        self.checked_since_spend = false;
-    }
-
-    /// Run `ex` to a stop taking `first` now, then rotating round-robin
-    /// through the enabled threads — fair rotation keeps a busy-wait
-    /// spinner from monopolizing the tail and masking cross-thread bugs.
-    fn finish_one(&mut self, ex: &mut Exec, first: usize) -> DfsOutcome {
-        let mut next = Some(first);
-        let mut cursor = 0usize;
-        let stop = loop {
-            if let Some(stop) = ex.status() {
-                break stop;
-            }
-            let tid = next.take().unwrap_or_else(|| {
-                let en = ex.enabled();
-                let t = en[cursor % en.len()];
-                cursor += 1;
-                t
-            });
-            if let Some(stop) = ex.step(tid) {
-                break stop;
-            }
-        };
-        let failure = match stop {
-            Stop::Failure(v) => Some((v, ex.schedule.clone())),
-            _ => None,
-        };
-        self.spend(ex, &failure);
-        DfsOutcome {
-            failure,
-            complete: false,
-            within_bound: false,
-        }
-    }
-
-    // ---- DPOR engine -------------------------------------------------------
-
-    /// DPOR entry: replay `path` (a dealt shard's root-branch choice, or
-    /// nothing for a whole-tree run), logging each step so deeper
-    /// dependence scans can see the prefix, then hand off to the frame
-    /// loop. Prefix states are not scanned: every step behind them is
-    /// forced or covered by the root deal, so insertions would be no-ops —
-    /// except against the dealt choice itself, whose frame the coordinator
-    /// owns (origin [`StepOrigin::UnitRoot`]).
-    fn explore_path_dpor(&mut self, path: &[usize], depth: u32, preemptions: u32) -> DfsOutcome {
         let mut ex = Exec::new(self.program, self.cfg);
         let mut i = 0;
         let mut early = None;
@@ -854,16 +664,32 @@ impl<'a> Dfs<'a> {
                 break;
             }
         }
-        let out = match early {
+        let mut out = match early {
             Some(o) => o,
-            // The inherited sleep set is always empty here: the tree's root
-            // frame never propagates sibling sleep (see `explore_from_dpor`),
-            // so both the serial root (trivially) and a dealt shard's root
-            // choice start their subtrees asleep-free.
-            None => self.explore_from_dpor(&mut ex, Vec::new(), depth, preemptions),
+            None => self.explore_from(&mut ex, sleep, depth, preemptions),
         };
         self.stats.vm_steps += ex.work_steps;
+        if self.scan_capped {
+            out.complete = false;
+            out.within_bound = false;
+        }
         out
+    }
+
+    /// Account one finished/pruned/failed schedule — the single place all
+    /// budget spending goes through, so worker traces cannot drift from
+    /// the serial accounting.
+    fn spend(&mut self, ex: &Exec, failure: &Option<(Verdict, Vec<usize>)>) {
+        self.schedules += 1;
+        self.steps += ex.steps;
+        self.budget.spend(ex);
+        if self.record {
+            self.trace.push(SchedEntry {
+                steps: ex.steps,
+                failure: failure.clone(),
+            });
+        }
+        self.checked_since_spend = false;
     }
 
     /// Take one visible step, logging it on the DPOR path with its
@@ -889,8 +715,12 @@ impl<'a> Dfs<'a> {
     /// happens-ordered before it. Such a pair is reorderable, so the
     /// earlier step's branch must also try the pending op's thread — that
     /// is the backtrack insertion that *earns* DFS children instead of
-    /// enumerating them.
+    /// enumerating them. Full expansion commits every member up front, so
+    /// it has nothing to earn and skips the scan.
     fn dpor_update(&mut self, ex: &Exec) {
+        if !self.cfg.dpor {
+            return;
+        }
         for p in 0..ex.vm.thread_count() {
             let Some(op_p) = ex.pending_op(p) else {
                 continue;
@@ -976,11 +806,7 @@ impl<'a> Dfs<'a> {
                         self.stats.dpor_backtracks += 1;
                     }
                 } else {
-                    for q in f.enabled.clone() {
-                        if self.frames[fi].add(q) {
-                            self.stats.dpor_backtracks += 1;
-                        }
-                    }
+                    self.stats.dpor_backtracks += f.add_all();
                 }
             }
             StepOrigin::UnitRoot => {
@@ -1000,19 +826,20 @@ impl<'a> Dfs<'a> {
         }
     }
 
-    /// The DPOR frame loop, mirror of `explore_from`: advance through
-    /// forced states (scanning each), then open a branch frame seeded with
-    /// one member and explore members as the backtrack set grows. The
-    /// membership evolution (seed = lowest-id candidate, picks by
-    /// ascending id, additions unioned after each child) is exactly what
-    /// `crate::pool`'s coordinator replays over dealt shards.
+    /// The frame loop: advance through forced states (scanning each), then
+    /// open a branch frame ([`Frame::open`]) and explore members, lowest id
+    /// first, as the backtrack set grows. The membership evolution (seed
+    /// per [`Frame::open`], picks by ascending id, additions unioned after
+    /// each child) is exactly what `crate::pool`'s coordinator replays over
+    /// dealt shards at the root.
     ///
     /// Backtrack sets compose with classic sleep sets (Godefroid): an
     /// explored member is put to sleep for its later siblings, whose
     /// subtrees skip it until a dependent op wakes it. Without this the
-    /// backtrack sets alone re-explore interleavings the sleep-set DFS
-    /// baseline prunes, and "DPOR ≤ DFS schedules" fails on lock-heavy
-    /// programs. Two deliberate exceptions keep the composition sound:
+    /// backtrack sets alone re-explore interleavings full expansion
+    /// prunes, and "DPOR ≤ DFS schedules" fails on lock-heavy programs.
+    /// Full expansion puts explored members to sleep at every frame. DPOR
+    /// makes two deliberate exceptions that keep the composition sound:
     ///
     /// - The tree's *root* frame never propagates sibling sleep. Dealt
     ///   shards (`crate::pool`) run speculatively before the membership
@@ -1024,7 +851,11 @@ impl<'a> Dfs<'a> {
     ///   representative the sleep prune relies on — the bounded search
     ///   keeps only the conservative whole-frame insertions (Coons et
     ///   al.) and forgoes sleep reduction.
-    fn explore_from_dpor(
+    ///
+    /// `sleep` maps a thread id to the op it had when put to sleep; entries
+    /// are valid at the node this frame owns and are filtered against
+    /// every op this frame executes beyond that point.
+    fn explore_from(
         &mut self,
         ex: &mut Exec,
         mut sleep: Vec<(usize, OpKey)>,
@@ -1041,8 +872,8 @@ impl<'a> Dfs<'a> {
                 break en;
             }
             let t = en[0];
-            // Same pruning as `explore_from`: a lone enabled thread that
-            // is asleep means an equivalent continuation was explored.
+            // If the lone enabled thread is asleep on this frame's own
+            // segment, the continuation is equivalent to an explored one.
             if sleep.iter().any(|&(st, _)| st == t) {
                 self.spend(ex, &None);
                 return DfsOutcome {
@@ -1052,7 +883,7 @@ impl<'a> Dfs<'a> {
                 };
             }
             match ex.pending_op(t) {
-                Some(op) => sleep.retain(|(_, sop)| independent(sop, &op)),
+                Some(op) => sleep.retain(|(_, sop)| sop.commutes_with(&op)),
                 None => sleep.clear(),
             }
             if let Some(stop) = self.step_logged(ex, t, StepOrigin::Forced) {
@@ -1061,12 +892,7 @@ impl<'a> Dfs<'a> {
         };
 
         if depth >= self.cfg.dfs_depth {
-            // Too deep to open more frames. Unlike the sleep-set DFS's
-            // finish_one, keep logging and scanning the tail: conflicts
-            // found past the cap still insert into the frames above it,
-            // which is what lets programs with long branchy tails earn
-            // their reorderings instead of silently losing them.
-            return self.finish_one_dpor(ex, en[0]);
+            return self.finish_one(ex, en[0]);
         }
 
         let members: Vec<usize> = en
@@ -1074,52 +900,41 @@ impl<'a> Dfs<'a> {
             .copied()
             .filter(|&t| ex.pending_op(t).is_some())
             .collect();
-        // Seed with the lowest-id member that is awake; a fully asleep
-        // frame is covered by explored sibling subtrees and adds nothing.
-        let Some(&first) = members
-            .iter()
-            .find(|&&t| !sleep.iter().any(|&(st, _)| st == t))
-        else {
+        let frame = Frame::open(self.cfg, members, &sleep, self.path_log.len());
+        if frame.backtrack.is_empty() {
             return DfsOutcome {
                 failure: None,
                 complete: true,
                 within_bound: true,
             };
-        };
-        // See the method docs for why the root frame and bounded searches
-        // never put explored members to sleep for their siblings.
-        let propagate_sleep = self.cfg.preemption_bound.is_none()
-            && !(self.frames.is_empty() && self.unit_root_enabled.is_none());
+        }
+        // See the method docs for where explored members sleep.
+        let propagate_sleep = !self.cfg.dpor
+            || (self.cfg.preemption_bound.is_none()
+                && !(self.frames.is_empty() && self.unit_root_enabled.is_none()));
         let last = ex.schedule.last().copied();
         let fi = self.frames.len();
-        self.frames.push(DporFrame {
-            enabled: members,
-            backtrack: vec![first],
-            done: Vec::new(),
-            path_len: self.path_log.len(),
-        });
+        self.frames.push(frame);
         let snap = ex.snapshot();
         self.stats.snapshots += 1;
         let prefix_steps = ex.steps;
         let mut dirty = false;
         let mut complete = true;
         let mut within = true;
-        while let Some(t) = self.frames[fi].next_member() {
-            self.frames[fi].done.push(t);
+        while let Some(t) = self.frames[fi].pick() {
             let cost = preempt_cost(last, t, &en);
             if let Some(b) = self.cfg.preemption_bound {
                 if preemptions + cost > b {
-                    // This member's subtree lies outside the bound. Any
+                    // Outside the bound by design: not counted against
+                    // `within_bound`, never put to sleep (it was not
+                    // explored, so nothing may prune against it), and no
+                    // budget check (serial and merge agree on that). Any
                     // behavior it alone represented may have ≤-bound
-                    // representatives through siblings, so stop trusting
-                    // the reduction here: enumerate the whole frame.
+                    // representatives through siblings, so DPOR stops
+                    // trusting the reduction here: enumerate the whole frame.
                     self.stats.bound_pruned += 1;
                     complete = false;
-                    for q in self.frames[fi].enabled.clone() {
-                        if self.frames[fi].add(q) {
-                            self.stats.dpor_backtracks += 1;
-                        }
-                    }
+                    self.stats.dpor_backtracks += self.frames[fi].add_all();
                     continue;
                 }
             }
@@ -1129,9 +944,9 @@ impl<'a> Dfs<'a> {
                 within = false;
                 break;
             }
-            // A backtrack insertion can name a thread the inherited sleep
-            // set already covers: an ancestor's sibling subtree explored
-            // its behaviors from here, so skip it.
+            // Asleep: an equivalent schedule was already explored. (Under
+            // DPOR a backtrack insertion can name a thread the inherited
+            // sleep set covers.)
             if sleep.iter().any(|&(st, _)| st == t) {
                 continue;
             }
@@ -1145,14 +960,16 @@ impl<'a> Dfs<'a> {
             let child_sleep: Vec<(usize, OpKey)> = sleep
                 .iter()
                 .copied()
-                .filter(|(_, sop)| independent(sop, &op_t))
+                .filter(|(_, sop)| sop.commutes_with(&op_t))
                 .collect();
+            // Without the snapshot this child would re-execute the prefix
+            // from the root; the restore above replaced exactly that work.
             self.stats.replay_steps_saved += prefix_steps;
             dirty = true;
             let out = if let Some(stop) = self.step_logged(ex, t, StepOrigin::Frame(fi)) {
                 self.stop_outcome(ex, stop)
             } else {
-                self.explore_from_dpor(ex, child_sleep, depth + 1, preemptions + cost)
+                self.explore_from(ex, child_sleep, depth + 1, preemptions + cost)
             };
             if out.failure.is_some() {
                 self.frames.truncate(fi);
@@ -1165,7 +982,11 @@ impl<'a> Dfs<'a> {
             }
         }
         let f = self.frames.pop().expect("frame pushed above");
-        self.stats.dpor_pruned_siblings += (f.enabled.len() - f.done.len()) as u64;
+        // Full expansion prunes no sibling: members it leaves unpicked
+        // were cut by the budget.
+        if self.cfg.dpor {
+            self.stats.dpor_pruned_siblings += f.unpicked();
+        }
         DfsOutcome {
             failure: None,
             complete,
@@ -1173,12 +994,14 @@ impl<'a> Dfs<'a> {
         }
     }
 
-    /// DPOR counterpart of [`Dfs::finish_one`]: run `ex` to a stop past the
-    /// depth cap, same rotation, but still log every step and run the
-    /// dependence scan — insertions land in the frames that are still open
-    /// above the cap, so the capped tail teaches the search its
-    /// reorderings even though it no longer opens frames of its own.
-    fn finish_one_dpor(&mut self, ex: &mut Exec, first: usize) -> DfsOutcome {
+    /// Too deep to open more frames: run `ex` to a stop taking `first`
+    /// now, then rotating round-robin through the enabled threads — fair
+    /// rotation keeps a busy-wait spinner from monopolizing the tail and
+    /// masking cross-thread bugs. DPOR keeps logging and scanning the tail:
+    /// conflicts found past the cap still insert into the frames open above
+    /// it, which is what lets programs with long branchy tails earn their
+    /// reorderings instead of silently losing them.
+    fn finish_one(&mut self, ex: &mut Exec, first: usize) -> DfsOutcome {
         let mut next = Some(first);
         let mut cursor = 0usize;
         let stop = loop {
@@ -1342,7 +1165,7 @@ pub(crate) fn explore(program: &Program, cfg: &CheckConfig) -> CheckReport {
     explore_with_stats(program, cfg).0
 }
 
-/// Stack reservation for exploration threads. The DPOR engine recurses one
+/// Stack reservation for exploration threads. The frame loop recurses one
 /// stack frame per branch frame, and deep programs (a lab-sized loop body
 /// is thousands of visible steps, each a branch state when two threads are
 /// runnable) overflow the 2 MiB thread default and even the 8 MiB main
@@ -1379,11 +1202,7 @@ pub(crate) fn explore_with_stats(
     let dfs_budget = dfs_phase_budget(cfg);
     if dfs_budget > 0 {
         let mut dfs = Dfs::new(program, cfg, dfs_budget, false);
-        let out = if cfg.dpor {
-            on_explore_stack(|| dfs.run(&[], Vec::new(), 0, 0))
-        } else {
-            dfs.run(&[], Vec::new(), 0, 0)
-        };
+        let out = on_explore_stack(|| dfs.explore_path(&[], Vec::new(), 0, 0));
         schedules += dfs.schedules;
         steps += dfs.steps;
         complete = out.complete;
@@ -1428,8 +1247,8 @@ pub(crate) fn explore_with_stats(
 
 /// A shard of the DFS frontier: one root-branch child together with the
 /// sleep set and depth serial DFS would hand it. Workers explore shards
-/// independently; the coordinator replays the serial budget over the
-/// recorded traces in canonical (enabled-order) sequence.
+/// independently; the coordinator replays the serial membership loop and
+/// budget over the recorded traces.
 #[derive(Debug, Clone)]
 pub(crate) struct DfsUnit {
     pub(crate) path: Vec<usize>,
@@ -1440,10 +1259,9 @@ pub(crate) struct DfsUnit {
     /// bound, units costing more than it are never run — the coordinator
     /// prunes them exactly where serial DFS would.
     pub(crate) preemptions: u32,
-    /// DPOR: the root-branch member set (threads with pending ops), which
-    /// the shard needs for conservative backtrack insertions that target
-    /// the coordinator-owned root frame. Empty for non-DPOR deals and for
-    /// the whole-tree unit.
+    /// The root-branch member set (threads with pending ops), which a DPOR
+    /// shard needs for conservative backtrack insertions that target the
+    /// coordinator-owned root frame. Empty for the whole-tree unit.
     pub(crate) root_enabled: Vec<usize>,
 }
 
@@ -1485,10 +1303,11 @@ pub(crate) struct UnitTrace {
 }
 
 /// Execute the root prefix and split the tree at its first branch point,
-/// replicating the sleep-set evolution of the serial sibling loop (the
-/// inherited sleep set is empty at the root, so no child can start asleep).
-/// `None` when the run stops before any branch — a single-path tree with
-/// nothing to split.
+/// one unit per root member. Full expansion deals each unit the sleep set
+/// serial's root frame would hand that child: the earlier explored
+/// siblings' ops, filtered against the child's own. DPOR's root frame
+/// never propagates sleep, so its units start asleep-free. `None` when the
+/// run stops before any branch — a single-path tree with nothing to split.
 pub(crate) fn split_root(program: &Program, cfg: &CheckConfig) -> Option<Vec<DfsUnit>> {
     let mut ex = Exec::new(program, cfg);
     loop {
@@ -1514,22 +1333,19 @@ pub(crate) fn split_root(program: &Program, cfg: &CheckConfig) -> Option<Vec<Dfs
                 let child_sleep: Vec<(usize, OpKey)> = sleep
                     .iter()
                     .copied()
-                    .filter(|(_, sop)| independent(sop, &op_t))
+                    .filter(|(_, sop)| sop.commutes_with(&op_t))
                     .collect();
                 units.push(DfsUnit {
                     path: vec![t],
                     sleep: child_sleep,
                     depth: 1,
                     preemptions: cost,
-                    root_enabled: if cfg.dpor {
-                        members.clone()
-                    } else {
-                        Vec::new()
-                    },
+                    root_enabled: members.clone(),
                 });
-                // A bound-pruned child is never explored, so serial DFS
-                // never puts it to sleep — the deal must not either.
-                if !bound_pruned {
+                // DPOR's root frame never puts a member to sleep. A
+                // bound-pruned child is never explored, so serial DFS
+                // never puts it to sleep either — the deal must not.
+                if !cfg.dpor && !bound_pruned {
                     sleep.push((t, op_t));
                 }
             }
@@ -1553,7 +1369,7 @@ pub(crate) fn run_dfs_unit(
     if !unit.root_enabled.is_empty() {
         dfs.unit_root_enabled = Some(unit.root_enabled.clone());
     }
-    let out = dfs.run(&unit.path, unit.sleep.clone(), unit.depth, unit.preemptions);
+    let out = dfs.explore_path(&unit.path, unit.sleep.clone(), unit.depth, unit.preemptions);
     UnitTrace {
         entries: dfs.trace,
         complete: out.complete,

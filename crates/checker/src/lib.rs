@@ -12,10 +12,12 @@
 //!   [`minilang::Vm::next_op`]). Thread-local instructions are run
 //!   eagerly; only shared-memory and synchronization operations create
 //!   scheduling points, which keeps the branching factor tractable.
-//! * **Exploration** is bounded DFS over scheduling choices with
-//!   sleep-set pruning, optionally followed by uniform random walks
-//!   ([`Strategy::Hybrid`], the default) so big programs still get
-//!   schedule diversity after the DFS budget runs out.
+//! * **Exploration** is bounded DFS over scheduling choices — dynamic
+//!   partial-order reduction by default, full expansion as its unreduced
+//!   oracle ([`CheckConfig::dpor`]) — pruned with sleep sets, optionally
+//!   followed by uniform random walks ([`Strategy::Hybrid`], the default)
+//!   so big programs still get schedule diversity after the DFS budget
+//!   runs out.
 //! * **Data races** are caught by FastTrack-style vector clocks fed from
 //!   the VM's event stream — a race is reported on the first unordered
 //!   conflicting access pair, with the location and both accesses named.
@@ -45,12 +47,15 @@ use minilang::{LangError, Program};
 /// Exploration strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
-    /// Bounded depth-first enumeration with sleep sets only.
+    /// Bounded depth-first search only (DPOR or full expansion, per
+    /// [`CheckConfig::dpor`]), no random walks.
     Dfs,
     /// Uniform random walks only.
     RandomWalk,
-    /// DFS for a quarter of the schedule budget, random walks after —
-    /// systematic coverage near the root, diversity past the depth bound.
+    /// DFS first, then random walks on the schedule budget it leaves when
+    /// it does not exhaust the space — systematic coverage near the root,
+    /// diversity past the depth bound. DPOR gives the DFS the whole budget;
+    /// full expansion (`dpor: false`) gives it a quarter.
     Hybrid,
 }
 
@@ -89,8 +94,10 @@ pub struct CheckConfig {
     /// an earlier executed step, the earlier step's branch gains a
     /// backtrack point. Equivalent verdicts in strictly fewer schedules;
     /// the happens-before oracle is the FastTrack clocks the race
-    /// detector already maintains. Off runs the unreduced sleep-set DFS,
-    /// the oracle the reduction is checked against.
+    /// detector already maintains. `false` selects *full expansion*: the
+    /// same DFS commits every enabled sibling at each branch and prunes
+    /// with sleep sets alone — the unreduced oracle the reduction is
+    /// checked against.
     pub dpor: bool,
     /// CHESS-style preemption bound: cap the number of *preemptive*
     /// context switches per schedule (a switch away from a thread that is
@@ -277,11 +284,13 @@ pub struct CheckStats {
     pub snapshots: u64,
     /// DPOR backtrack points earned: threads added to a branch's
     /// backtrack set because a pending op was dependent on (and not
-    /// ordered after) an earlier step of that branch.
+    /// ordered after) an earlier step of that branch. Always 0 under full
+    /// expansion, which commits every member up front.
     pub dpor_backtracks: u64,
     /// Branch siblings DPOR never had to explore: enabled threads left
     /// outside the backtrack set when their branch was fully processed.
     /// Each one is a whole subtree the unreduced DFS would have entered.
+    /// Always 0 under full expansion.
     pub dpor_pruned_siblings: u64,
     /// Branch children skipped because taking them would exceed the
     /// preemption bound.

@@ -14,16 +14,17 @@
 //! traces in canonical order:
 //!
 //! 1. **DFS phase.** [`explore::split_root`] shards the tree at its first
-//!    branch point, reproducing the serial sleep-set evolution. Each shard
-//!    runs on a worker with its own VM, recording one [`SchedEntry`] per
-//!    schedule spent. The merge scan walks shards in enabled order,
+//!    branch point, one shard per root member, each carrying the sleep set
+//!    serial's root frame would hand it. Each shard runs on a worker with
+//!    its own VM, recording one [`SchedEntry`] per schedule spent. The
+//!    merge replays serial's root membership loop over the shards,
 //!    decrementing the real budget before each entry exactly where serial
 //!    checks it, stopping on the first failure or empty budget.
 //! 2. **Walk phase.** Walk `i` is a pure function of `(seed, i)`, so the
 //!    remaining budget fans out as independent walk jobs; the merge scan
 //!    consumes results in index order with the serial step-budget gate.
 //!
-//! Workers that can only start *after* the serial scan would have stopped
+//! Walks that can only start *after* the serial scan would have stopped
 //! are cancelled via a shared first-failure index; everything at or before
 //! the true stopping point is always computed, so the scan never reads a
 //! missing slot.
@@ -172,7 +173,7 @@ impl Pool {
                     let steals = &steals;
                     let f = &f;
                     std::thread::Builder::new()
-                        // DPOR units recurse one stack frame per branch
+                        // DFS units recurse one stack frame per branch
                         // frame; deep programs (thousands of branch states)
                         // need more than the 2 MiB thread default. Virtual
                         // reservation only — pages commit on use.
@@ -318,17 +319,18 @@ impl std::fmt::Debug for Pool {
 impl Pool {
     /// DFS shards + merge, then walk fan-out + merge (see module docs).
     ///
-    /// Under DPOR the root branch is not a fixed sibling list but a
-    /// *membership loop*: serial DFS seeds the root backtrack set with one
-    /// member and earns the rest from dependence scans inside explored
-    /// subtrees. Shards record the root additions they earn
-    /// ([`explore::UnitTrace::root_backtrack`]); the merge replays the
-    /// exact membership evolution — pick the lowest-id committed member,
-    /// consume its trace, union its additions, repeat — so the dealt
-    /// shards reproduce serial's traversal order and budget arithmetic
-    /// bit for bit. First-failure cancellation is disabled there: the
-    /// membership order is not the shard index order, so a later-indexed
-    /// shard can be consumed before an earlier failing one.
+    /// The root branch is a *membership loop*, seeded by the same
+    /// [`explore::Frame::open`] rule as every serial frame: full expansion
+    /// commits every member up front; DPOR commits one and earns the rest
+    /// from dependence scans inside explored subtrees. Shards record the
+    /// root additions they earn ([`explore::UnitTrace::root_backtrack`]);
+    /// the merge replays the exact membership evolution — pick the
+    /// lowest-id committed member, consume its trace, union its additions,
+    /// repeat — so the dealt shards reproduce serial's traversal order and
+    /// budget arithmetic bit for bit. Shards get no first-failure
+    /// cancellation: under DPOR the membership order is not the shard
+    /// index order, so a later-indexed shard can be consumed before an
+    /// earlier failing one.
     fn check_parallel(&self, program: &Program, cfg: &CheckConfig) -> (CheckReport, CheckStats) {
         let mut schedules = 0u64;
         let mut steps = 0u64;
@@ -352,22 +354,11 @@ impl Pool {
                 .map(|u| (u.path.first().copied().unwrap_or(0), u.preemptions))
                 .collect();
             let over_bound = |cost: u32| cfg.preemption_bound.map(|b| cost > b).unwrap_or(false);
-            // First failing shard index; shards strictly past it are
-            // skipped — the merge stops at the failure before reading them.
-            // (Not under DPOR: membership order ≠ index order.)
-            let min_fail = AtomicUsize::new(usize::MAX);
-            let traces = self.map(units, |i, unit| {
+            let traces = self.map(units, |_, unit| {
                 if over_bound(unit.preemptions) {
                     return None; // pruned at the root; never explored
                 }
-                if !cfg.dpor && i > min_fail.load(Ordering::Relaxed) {
-                    return None;
-                }
-                let trace = explore::run_dfs_unit(program, cfg, &unit, dfs_budget);
-                if trace.entries.iter().any(|e| e.failure.is_some()) {
-                    min_fail.fetch_min(i, Ordering::Relaxed);
-                }
-                Some(trace)
+                Some(explore::run_dfs_unit(program, cfg, &unit, dfs_budget))
             });
 
             for trace in traces.iter().flatten() {
@@ -380,111 +371,64 @@ impl Pool {
                 stats.bound_pruned += s.bound_pruned;
             }
 
-            // Replay the serial budget arithmetic over the traces.
+            // Replay serial's root membership loop and budget arithmetic
+            // over the traces (see method docs). An unsplit tree is one
+            // unit, member 0 of a one-member root.
+            let mut root = explore::Frame::open(cfg, meta.iter().map(|m| m.0).collect(), &[], 0);
+            // Serial checks the budget before every schedule except the
+            // very first when the root never branched (a single-path tree
+            // spends its one schedule unchecked).
+            let mut unchecked = !root_branched;
             let mut schedules_left = dfs_budget;
             let mut steps_left = cfg.max_steps;
             complete = true;
             within_bound = true;
-            if cfg.dpor && root_branched && !meta.is_empty() {
-                // Membership loop (see method docs).
-                let mut backtrack: Vec<usize> = vec![meta[0].0];
-                let mut done: Vec<usize> = Vec::new();
-                'dpor_merge: while let Some(t) = backtrack
+            'merge: while let Some(t) = root.pick() {
+                let ui = meta
                     .iter()
-                    .copied()
-                    .filter(|t| !done.contains(t))
-                    .min()
-                {
-                    done.push(t);
-                    let ui = meta
-                        .iter()
-                        .position(|m| m.0 == t)
-                        .expect("every root member is a dealt shard");
-                    if over_bound(meta[ui].1) {
-                        // Bound-pruned at the root: serial enumerates the
-                        // whole frame from here (see explore_from_dpor).
-                        stats.bound_pruned += 1;
-                        complete = false;
-                        for &(q, _) in &meta {
-                            if !backtrack.contains(&q) && !done.contains(&q) {
-                                backtrack.push(q);
-                                stats.dpor_backtracks += 1;
-                            }
-                        }
-                        continue;
-                    }
-                    let trace = traces[ui]
-                        .as_ref()
-                        .expect("DPOR shards are never cancelled");
-                    for entry in &trace.entries {
-                        if schedules_left == 0 || steps_left == 0 {
-                            complete = false;
-                            within_bound = false;
-                            break 'dpor_merge;
-                        }
-                        schedules += 1;
-                        steps += entry.steps;
-                        schedules_left = schedules_left.saturating_sub(1);
-                        steps_left = steps_left.saturating_sub(entry.steps);
-                        if let Some(f) = &entry.failure {
-                            failure = Some(f.clone());
-                            break 'dpor_merge;
-                        }
-                    }
-                    if (schedules_left == 0 || steps_left == 0) && trace.trailing_check {
+                    .position(|m| m.0 == t)
+                    .expect("every root member is a dealt shard");
+                if over_bound(meta[ui].1) {
+                    // Bound-pruned at the root: serial skips it without a
+                    // budget check and, under DPOR, enumerates the whole
+                    // frame from here (see `explore_from`).
+                    stats.bound_pruned += 1;
+                    complete = false;
+                    stats.dpor_backtracks += root.add_all();
+                    continue;
+                }
+                let trace = traces[ui]
+                    .as_ref()
+                    .expect("only bound-pruned shards go unexplored");
+                for entry in &trace.entries {
+                    if !unchecked && (schedules_left == 0 || steps_left == 0) {
                         complete = false;
                         within_bound = false;
+                        break 'merge;
                     }
-                    complete &= trace.complete;
-                    within_bound &= trace.within_bound;
-                    for &q in &trace.root_backtrack {
-                        if !backtrack.contains(&q) && !done.contains(&q) {
-                            backtrack.push(q);
-                        }
+                    unchecked = false;
+                    schedules += 1;
+                    steps += entry.steps;
+                    schedules_left = schedules_left.saturating_sub(1);
+                    steps_left = steps_left.saturating_sub(entry.steps);
+                    if let Some(f) = &entry.failure {
+                        failure = Some(f.clone());
+                        break 'merge;
                     }
                 }
-                if failure.is_none() {
-                    stats.dpor_pruned_siblings += (meta.len() - done.len()) as u64;
+                if (schedules_left == 0 || steps_left == 0) && trace.trailing_check {
+                    complete = false;
+                    within_bound = false;
                 }
-            } else {
-                let mut first = true;
-                'merge: for (ui, trace) in traces.iter().enumerate() {
-                    if over_bound(meta.get(ui).map(|m| m.1).unwrap_or(0)) {
-                        // Dealt child outside the bound: serial skips it
-                        // without a budget check and without sleeping it.
-                        stats.bound_pruned += 1;
-                        complete = false;
-                        continue;
-                    }
-                    let Some(trace) = trace else { break };
-                    for entry in &trace.entries {
-                        // Serial checks the budget before every schedule
-                        // except the very first when the root never
-                        // branched (a single-path tree spends its one
-                        // schedule unchecked).
-                        let skip_check = first && !root_branched;
-                        first = false;
-                        if !skip_check && (schedules_left == 0 || steps_left == 0) {
-                            complete = false;
-                            within_bound = false;
-                            break 'merge;
-                        }
-                        schedules += 1;
-                        steps += entry.steps;
-                        schedules_left = schedules_left.saturating_sub(1);
-                        steps_left = steps_left.saturating_sub(entry.steps);
-                        if let Some(f) = &entry.failure {
-                            failure = Some(f.clone());
-                            break 'merge;
-                        }
-                    }
-                    if (schedules_left == 0 || steps_left == 0) && trace.trailing_check {
-                        complete = false;
-                        within_bound = false;
-                    }
-                    complete &= trace.complete;
-                    within_bound &= trace.within_bound;
+                complete &= trace.complete;
+                within_bound &= trace.within_bound;
+                for &q in &trace.root_backtrack {
+                    root.add(q);
                 }
+            }
+            // As in `explore_from`: full expansion prunes no sibling.
+            if cfg.dpor && failure.is_none() {
+                stats.dpor_pruned_siblings += root.unpicked();
             }
         }
 

@@ -3,13 +3,13 @@
 //! The implementation is split by locking discipline, so the web layer can
 //! hold the portal's `RwLock` for exactly as long as each facade needs:
 //!
-//! * [`session`] — token issue/validate plus the [`SessionStamp`] that
+//! * `session` — token issue/validate plus the [`SessionStamp`] that
 //!   long-running operations use to detect mid-flight revocation;
-//! * [`read`] — `&self` views (listings, job status, dashboards) that are
+//! * `read` — `&self` views (listings, job status, dashboards) that are
 //!   safe under a shared read lock;
-//! * [`write`] — `&mut self` mutations, including the scheduler tick,
+//! * `write` — `&mut self` mutations, including the scheduler tick,
 //!   which stay single-writer so tick-domain determinism is preserved;
-//! * [`heavy`] — compile / execute / analyze, split into begin → run →
+//! * `heavy` — compile / execute / analyze, split into begin → run →
 //!   commit phases so the expensive middle runs with **no** portal lock
 //!   held.
 

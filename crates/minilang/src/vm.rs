@@ -250,7 +250,7 @@ pub enum VmEvent {
 }
 
 /// Host I/O hooks: `read_file` / `write_file` / `append_file` builtins land
-/// here, so the toolchain can wire the VM to the portal's [`vfs`]
+/// here, so the toolchain can wire the VM to the portal's `vfs`
 /// (or to nothing, in pure tests).
 /// `Send` is part of the contract: a [`Vm`] must be movable to (and owned
 /// by) a checker pool worker thread, and the I/O backend travels with it.

@@ -200,7 +200,7 @@ impl Histogram {
         self.overflow
     }
 
-    /// Approximate quantile `q` in [0,1] by scanning bucket mass; returns the
+    /// Approximate quantile `q` in `[0, 1]` by scanning bucket mass; returns the
     /// bucket midpoint. `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         let total = self.count();

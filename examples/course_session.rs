@@ -1,5 +1,7 @@
 //! A full course session: run each of the seven PDC labs the way the
-//! closed labs did, then regenerate the paper's three evaluation tables.
+//! closed labs did, print the interleaving checker's verdicts on the lab
+//! 5-7 archetypes under the grading config, then regenerate the paper's
+//! three evaluation tables.
 //!
 //! Run with: `cargo run --example course_session` (add `--release` for
 //! speed; the cohort simulation autogrades 19 x 7 real VM submissions).
@@ -101,6 +103,52 @@ fn main() {
         lab7_boundedbuffer::correctness_rate(&lab7_boundedbuffer::semaphore_source(), 0..10)
             * 100.0
     );
+
+    // The grader's systematic checks (EXPERIMENTS.md, "Interleaving checker").
+    println!("==================== interleaving checker (grading config) ====================\n");
+    println!("| program | verdict | schedules explored | visible steps | repro length |");
+    println!("|---|---|---:|---:|---:|");
+    let grading = labs::grading::grading_check_config();
+    for (name, src) in [
+        (
+            "lab 5 bank, racy deposit",
+            lab5_bank::source(lab5_bank::BankStep::ConcurrentRacy),
+        ),
+        (
+            "lab 5 bank, locked deposit",
+            lab5_bank::source(lab5_bank::BankStep::ConcurrentLocked),
+        ),
+        (
+            "lab 6 philosophers, naive (3)",
+            lab6_philosophers::naive_source(3),
+        ),
+        (
+            "lab 6 philosophers, ordered (3)",
+            lab6_philosophers::ordered_source(3),
+        ),
+        (
+            "lab 7 buffer, no synchronization",
+            lab7_boundedbuffer::buggy_source(),
+        ),
+        (
+            "lab 7 buffer, mutex + busy-wait",
+            lab7_boundedbuffer::mutex_source(),
+        ),
+        (
+            "lab 7 buffer, semaphores",
+            lab7_boundedbuffer::semaphore_source(),
+        ),
+    ] {
+        let r = checker::check_program(&src, &grading).expect("lab source compiles");
+        let repro = r.repro.map_or("—".to_string(), |s| s.len().to_string());
+        println!(
+            "| {name} | {} | {} | {} | {repro} |",
+            r.verdict.class(),
+            r.schedules,
+            r.steps
+        );
+    }
+    println!();
 
     println!("==================== evaluation (paper vs reproduced) ====================\n");
     let seed = 2012; // Spring 2012, the semester the paper evaluated

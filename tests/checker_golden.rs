@@ -4,9 +4,9 @@
 //! solution must come back clean. Also pins down determinism: the same
 //! program and budget yield a byte-identical report, including the repro.
 
-use checker::{check_program, replay_schedule, CheckConfig, Verdict};
+use checker::{check_program, replay_schedule, CheckConfig, Strategy, Verdict};
 use labs::grading::grading_check_config;
-use labs::{lab5_bank, lab6_philosophers, lab7_boundedbuffer};
+use labs::{lab1_sync, lab5_bank, lab6_philosophers, lab7_boundedbuffer};
 
 fn cfg() -> CheckConfig {
     CheckConfig::default()
@@ -167,4 +167,23 @@ fn grading_budget_finds_lab5_race_and_lab6_deadlock() {
     assert_eq!(bank.verdict.class(), "race", "{:?}", bank.verdict);
     let phil = check_program(&lab6_philosophers::naive_source(3), &g).unwrap();
     assert_eq!(phil.verdict.class(), "deadlock", "{:?}", phil.verdict);
+}
+
+// ---- the unreduced search at lab depth -------------------------------------
+
+#[test]
+fn unreduced_search_at_lab_depth_is_clean() {
+    // Full expansion recurses one stack frame per branch frame, as DPOR
+    // does: at lab depth it needs the exploration stack, not the caller's.
+    let cfg = CheckConfig {
+        dpor: false,
+        strategy: Strategy::Dfs,
+        max_schedules: 24,
+        max_steps: 400_000,
+        dfs_depth: 10_000,
+        minimize: false,
+        ..CheckConfig::default()
+    };
+    let report = check_program(lab1_sync::FIXED_SOURCE, &cfg).expect("lab source compiles");
+    assert_eq!(report.verdict, Verdict::Clean, "{report:?}");
 }

@@ -1,5 +1,6 @@
 //! The DPOR acceptance bar: a differential harness proving the reduced
-//! search equivalent to the unreduced sleep-set DFS it replaces.
+//! search equivalent to full expansion (`dpor: false`), the unreduced
+//! search it replaces.
 //!
 //! Equivalent means two things, checked program by program:
 //!
@@ -13,8 +14,8 @@
 //! The corpus is `checker::archetypes` (each member chosen to defeat a
 //! naive reducer), plus two-thread programs drawn from a fixed seed over
 //! the synchronization vocabulary, plus the preemption-bound variants:
-//! violations must be monotone in the bound, and every DPOR configuration
-//! must stay bit-identical across pool widths.
+//! violations must be monotone in the bound, and every configuration of
+//! either search must stay bit-identical across pool widths.
 
 use checker::{CheckConfig, CheckStats, Pool, Strategy, Verdict};
 
@@ -217,27 +218,29 @@ fn violations_are_monotone_in_the_preemption_bound() {
     }
 }
 
-// ---- pool bit-identity over the DPOR merge --------------------------------
+// ---- pool bit-identity over the membership merge --------------------------
 
 #[test]
 fn dpor_configs_are_bit_identical_across_pool_widths() {
     for (name, src, _) in checker::archetypes::corpus() {
         let prog = minilang::compile(src).unwrap();
-        for bound in [None, Some(0u32), Some(2)] {
-            let cfg = CheckConfig {
-                dpor: true,
-                preemption_bound: bound,
-                max_schedules: 64,
-                ..base_cfg(0)
-            };
-            let serial = checker::check(&prog, &cfg);
-            for workers in [1usize, 2, 4] {
-                assert_eq!(
-                    Pool::new(workers).check(&prog, &cfg),
-                    serial,
-                    "{name} (bound {bound:?}): {workers}-worker DPOR report \
-                     diverged from serial"
-                );
+        for dpor in [true, false] {
+            for bound in [None, Some(0u32), Some(2)] {
+                let cfg = CheckConfig {
+                    dpor,
+                    preemption_bound: bound,
+                    max_schedules: 64,
+                    ..base_cfg(0)
+                };
+                let serial = checker::check(&prog, &cfg);
+                for workers in [1usize, 2, 4] {
+                    assert_eq!(
+                        Pool::new(workers).check(&prog, &cfg),
+                        serial,
+                        "{name} (dpor {dpor}, bound {bound:?}): {workers}-worker \
+                         report diverged from serial"
+                    );
+                }
             }
         }
     }
