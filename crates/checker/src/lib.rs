@@ -82,10 +82,6 @@ pub struct CheckConfig {
     pub max_instructions: u64,
     /// Visible steps without a state change before declaring livelock.
     pub livelock_window: u64,
-    /// Worker override for [`Pool::check`]: `None` uses the pool's width,
-    /// `Some(0)`/`Some(1)` force the serial path. The report is identical
-    /// either way — workers only change wall-clock time.
-    pub workers: Option<usize>,
     /// Dynamic partial-order reduction (Flanagan/Godefroid source sets
     /// with conservative wakeup handling). Instead of enumerating every
     /// sibling at a branch and pruning with sleep sets, DFS starts each
@@ -123,7 +119,6 @@ impl Default for CheckConfig {
             minimize_replays: 48,
             max_instructions: 2_000_000,
             livelock_window: 4_000,
-            workers: None,
             dpor: true,
             preemption_bound: None,
         }

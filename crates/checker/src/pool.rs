@@ -55,13 +55,8 @@ impl Pool {
         Pool { workers, obs: None }
     }
 
-    /// A pool sized to the machine: `max(1, available_parallelism - 1)`,
+    /// The default worker count: `max(1, available_parallelism - 1)`,
     /// leaving one core for the portal's own request handling.
-    pub fn auto() -> Pool {
-        Pool::new(Self::default_workers())
-    }
-
-    /// The default worker count: `max(1, available_parallelism - 1)`.
     pub fn default_workers() -> usize {
         std::thread::available_parallelism()
             .map(|n| n.get().saturating_sub(1))
@@ -259,9 +254,8 @@ impl Pool {
     }
 
     /// Explore `program`'s interleavings on the pool. Bit-for-bit
-    /// identical to [`crate::check`] for the same program and config;
-    /// `cfg.workers` overrides the pool width, and an effective width of
-    /// 0 or 1 takes the serial path itself.
+    /// identical to [`crate::check`] for the same program and config; a
+    /// width of 0 or 1 takes the serial path itself.
     pub fn check(&self, program: &Program, cfg: &CheckConfig) -> CheckReport {
         self.check_with_stats(program, cfg).0
     }
@@ -275,19 +269,10 @@ impl Pool {
         program: &Program,
         cfg: &CheckConfig,
     ) -> (CheckReport, CheckStats) {
-        let workers = cfg.workers.unwrap_or(self.workers);
-        let out = if workers <= 1 {
+        let out = if self.workers <= 1 {
             explore::explore_with_stats(program, cfg)
-        } else if workers == self.workers {
-            self.check_parallel(program, cfg)
         } else {
-            // Honor the per-config override with a transient pool of that
-            // width, recording into the same telemetry domain.
-            Pool {
-                workers,
-                obs: self.obs.clone(),
-            }
-            .check_parallel(program, cfg)
+            self.check_parallel(program, cfg)
         };
         if let Some(obs) = &self.obs {
             let m = &obs.metrics;

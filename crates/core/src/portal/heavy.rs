@@ -17,7 +17,7 @@
 //!    artifacts and reports are dropped, never applied.
 //!
 //! The single-call methods ([`Portal::compile`],
-//! [`Portal::run_interactive_stdin`]) are recomposed from the same three
+//! [`Portal::run_interactive`]) are recomposed from the same three
 //! phases, so library callers and the web layer exercise identical code
 //! paths.
 
@@ -29,8 +29,7 @@ use auth::{Role, Token};
 use obs::Obs;
 use std::sync::{Arc, Mutex, PoisonError};
 use toolchain::{
-    Artifact, ArtifactId, CompileCache, CompileReport, CompileRequest, ExecReport, Executor,
-    PreparedCompile,
+    Artifact, ArtifactId, CompileCache, CompileReport, CompileRequest, ExecReport, PreparedCompile,
 };
 use vfs::Vfs;
 
@@ -137,8 +136,8 @@ impl Portal {
         Ok(done.report)
     }
 
-    /// Run an artifact synchronously (the "run in browser" button), with
-    /// stdin lines queued up front.
+    /// Run an artifact synchronously (the "run in browser" button) with
+    /// no stdin. One call, all three phases.
     pub fn run_interactive(
         &self,
         token: &Token,
@@ -146,19 +145,7 @@ impl Portal {
         seed: u64,
         now: u64,
     ) -> Result<ExecReport, PortalError> {
-        self.run_interactive_stdin(token, artifact, seed, &[], now)
-    }
-
-    /// [`Portal::run_interactive`] with stdin lines.
-    pub fn run_interactive_stdin(
-        &self,
-        token: &Token,
-        artifact: &str,
-        seed: u64,
-        stdin: &[String],
-        now: u64,
-    ) -> Result<ExecReport, PortalError> {
-        let done = self.run_begin(token, artifact, seed, stdin, now)?.run();
+        let done = self.run_begin(token, artifact, seed, &[], now)?.run();
         self.run_finish(done, now)
     }
 
@@ -250,7 +237,7 @@ impl CompilePhase {
                 });
             self.request.snapshot(&fs)
         };
-        let prepared = snapshot.compile(Some(&self.cache));
+        let prepared = snapshot.compile(&self.cache);
         CompileDone {
             stamp: self.stamp,
             prepared,
@@ -287,9 +274,9 @@ impl RunPhase {
     /// per host-I/O operation by the VM's `VfsIo`, never for the run's
     /// duration; the portal lock is not held at all.
     pub fn run(self) -> RunDone {
-        let exec = Executor::with_seed(self.seed);
-        let report = exec.run_artifact_with_stdin(
+        let report = toolchain::exec::run_artifact(
             &self.artifact,
+            self.seed,
             Arc::clone(&self.fs),
             &self.stamp.user,
             &self.stdin,

@@ -33,29 +33,22 @@ use toolchain::ArtifactStore;
 use vfs::{Vfs, VfsError};
 use wal::{FileStorage, FsyncPolicy, Journal, JournalHooks, RecoveryReport};
 
-/// Portal construction parameters.
+/// Portal construction parameters: the settings a deployment, the
+/// benchmark, an example or a determinism suite actually varies. Every
+/// other number the portal runs on is a constant next to its one use.
 #[derive(Debug, Clone)]
 pub struct PortalConfig {
     /// Hardware to boot.
     pub cluster: ClusterSpec,
-    /// Job-distribution policy.
-    pub policy: SchedPolicyKind,
-    /// Session time-to-live (caller clock units; the web layer passes
-    /// seconds).
-    pub session_ttl: u64,
-    /// Default per-user quota in bytes.
-    pub default_quota: u64,
     /// Seed for token generation and password salts.
     pub seed: u64,
     /// How many VM instructions equal one scheduler tick when deriving a
     /// dispatched job's runtime.
     pub instructions_per_tick: u64,
-    /// Checker pool width. `None` consults the `CCP_CHECKER_THREADS`
-    /// environment variable, falling back to
-    /// `max(1, available_parallelism - 1)`; 0 or 1 runs analyses serially.
+    /// Checker pool width. `None` uses [`checker::Pool::default_workers`]
+    /// (`max(1, available_parallelism - 1)`); 0 or 1 runs analyses
+    /// serially.
     pub checker_threads: Option<usize>,
-    /// Compile-cache capacity in programs (0 disables caching).
-    pub compile_cache_capacity: usize,
     /// Durability root. `Some(dir)` persists filesystem and scheduler
     /// state to write-ahead logs under `dir` and recovers them at boot;
     /// `None` (the default) keeps the portal fully in-memory, bit-for-bit
@@ -64,87 +57,80 @@ pub struct PortalConfig {
     /// When to fsync the logs: group commit (one fsync per N appends) by
     /// default; `Always` for strongest durability, `Never` for benches.
     pub wal_fsync: FsyncPolicy,
-    /// Install a snapshot and compact each log every N records
-    /// (0 = never snapshot; the log grows without bound).
-    pub snapshot_interval: u64,
-    /// Time-series store depth: how many periodic metrics captures the
-    /// dashboard can window over before old ones roll off.
-    pub ts_capacity: usize,
-    /// Capture the registry into the store every N scheduler ticks.
-    pub sample_every: u64,
-    /// Service-level objectives evaluated over the store each sample.
-    /// Defaults to [`PortalConfig::default_slos`]; empty disables alerting.
-    pub slos: Vec<obs::SloSpec>,
-    /// Operations slower than this (wall-clock µs) land in the bounded
-    /// slowest-ops log at `/api/admin/slow`.
-    pub slow_op_threshold_us: u64,
     /// Run a checker analysis on every job the distributor executes,
     /// recording the verdict as a `checker.analyze` span in the job's
     /// trace. Off by default: it spends checker budget per dispatch.
     pub auto_analyze: bool,
 }
 
-impl PortalConfig {
-    /// The stock objectives: sustained deep queue, excessive job loss,
-    /// and degraded p99 wait time. All read tick-domain series, so alert
-    /// histories are reproducible across same-seed runs.
-    pub fn default_slos() -> Vec<obs::SloSpec> {
-        use obs::{SloKind, SloSpec};
-        vec![
-            SloSpec {
-                name: "queue-depth".into(),
-                kind: SloKind::GaugeAbove {
-                    series: "ccp_sched_queue_depth".into(),
-                    threshold_milli: 32_000,
-                },
-                short_window: 8,
-                long_window: 32,
-            },
-            SloSpec {
-                name: "job-loss".into(),
-                kind: SloKind::ErrorRatio {
-                    bad: "ccp_sched_jobs_node_lost_total".into(),
-                    total: "ccp_sched_jobs_submitted_total".into(),
-                    objective_milli: 50,
-                },
-                short_window: 8,
-                long_window: 32,
-            },
-            SloSpec {
-                name: "wait-p99".into(),
-                kind: SloKind::QuantileAbove {
-                    series: "ccp_sched_job_wait_ticks".into(),
-                    q: 0.99,
-                    threshold: 500.0,
-                },
-                short_window: 8,
-                long_window: 32,
-            },
-        ]
-    }
-}
-
 impl Default for PortalConfig {
     fn default() -> Self {
         PortalConfig {
             cluster: ClusterSpec::uhd(),
-            policy: SchedPolicyKind::Backfill,
-            session_ttl: 3600,
-            default_quota: 16 << 20,
             seed: 0x5eed,
             instructions_per_tick: 10_000,
             checker_threads: None,
-            compile_cache_capacity: 256,
             data_dir: None,
             wal_fsync: FsyncPolicy::EveryN(8),
-            snapshot_interval: 1024,
-            ts_capacity: 512,
-            sample_every: 1,
-            slos: PortalConfig::default_slos(),
-            slow_op_threshold_us: obs::DEFAULT_SLOW_OP_THRESHOLD_US,
             auto_analyze: false,
         }
     }
+}
+
+/// Job-distribution policy.
+const SCHED_POLICY: SchedPolicyKind = SchedPolicyKind::Backfill;
+
+/// Session time-to-live in caller clock units (the web layer passes
+/// seconds).
+const SESSION_TTL: u64 = 3600;
+
+/// Compile-cache capacity in programs.
+const COMPILE_CACHE_CAPACITY: usize = 256;
+
+/// Install a snapshot and compact each WAL stream every this many records.
+const SNAPSHOT_INTERVAL: u64 = 1024;
+
+/// Time-series store depth: how many per-tick metrics captures the
+/// dashboard can window over before old ones roll off.
+const TS_CAPACITY: usize = 512;
+
+/// The service-level objectives evaluated over the store every tick:
+/// sustained deep queue, excessive job loss, and degraded p99 wait time.
+/// All read tick-domain series, so alert histories are reproducible
+/// across same-seed runs.
+fn default_slos() -> Vec<obs::SloSpec> {
+    use obs::{SloKind, SloSpec};
+    vec![
+        SloSpec {
+            name: "queue-depth".into(),
+            kind: SloKind::GaugeAbove {
+                series: "ccp_sched_queue_depth".into(),
+                threshold_milli: 32_000,
+            },
+            short_window: 8,
+            long_window: 32,
+        },
+        SloSpec {
+            name: "job-loss".into(),
+            kind: SloKind::ErrorRatio {
+                bad: "ccp_sched_jobs_node_lost_total".into(),
+                total: "ccp_sched_jobs_submitted_total".into(),
+                objective_milli: 50,
+            },
+            short_window: 8,
+            long_window: 32,
+        },
+        SloSpec {
+            name: "wait-p99".into(),
+            kind: SloKind::QuantileAbove {
+                series: "ccp_sched_job_wait_ticks".into(),
+                q: 0.99,
+                threshold: 500.0,
+            },
+            short_window: 8,
+            long_window: 32,
+        },
+    ]
 }
 
 /// Routes [`Journal`] telemetry into the shared metrics registry, one hook
@@ -239,12 +225,8 @@ fn open_durable(
 ) -> Result<Vec<RecoveryView>, String> {
     let open_stream = |name: &str| -> Result<(Journal, wal::Recovered), String> {
         let storage = FileStorage::open(dir, name).map_err(|e| format!("open {name} log: {e}"))?;
-        Journal::open(
-            Box::new(storage),
-            config.wal_fsync,
-            config.snapshot_interval,
-        )
-        .map_err(|e| format!("recover {name} log: {e}"))
+        Journal::open(Box::new(storage), config.wal_fsync, SNAPSHOT_INTERVAL)
+            .map_err(|e| format!("recover {name} log: {e}"))
     };
 
     let (vfs_journal, vfs_recovered) = open_stream("vfs")?;
@@ -331,21 +313,15 @@ impl Portal {
         let obs = Arc::new(Obs::new());
         let workers = config
             .checker_threads
-            .or_else(|| {
-                std::env::var("CCP_CHECKER_THREADS")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-            })
             .unwrap_or_else(checker::Pool::default_workers);
         let pool = Arc::new(checker::Pool::new(workers).with_obs(Arc::clone(&obs)));
         toolchain::cache::register_cache_metrics(&obs);
         register_wal_metrics(&obs);
-        obs.profiler.set_threshold_us(config.slow_op_threshold_us);
-        let store = TimeSeriesStore::new(config.ts_capacity.max(1));
-        let slo = SloEngine::new(config.slos.clone(), &obs.metrics);
+        let store = TimeSeriesStore::new(TS_CAPACITY);
+        let slo = SloEngine::new(default_slos(), &obs.metrics);
 
         let mut fs = Vfs::new();
-        let mut scheduler = Scheduler::new(cluster, config.policy).with_obs(Arc::clone(&obs));
+        let mut scheduler = Scheduler::new(cluster, SCHED_POLICY).with_obs(Arc::clone(&obs));
         let mut recovery = Vec::new();
         let mut wal_enabled = false;
         let mut wal_open_error = None;
@@ -364,13 +340,13 @@ impl Portal {
 
         Portal {
             users: UserStore::new(config.seed),
-            sessions: SessionManager::new(config.session_ttl, config.seed.wrapping_add(1)),
+            sessions: SessionManager::new(SESSION_TTL, config.seed.wrapping_add(1)),
             fs: Arc::new(Mutex::new(fs)),
             artifacts: ArtifactStore::new(),
             scheduler,
             pool,
             compile_cache: Arc::new(Mutex::new(toolchain::CompileCache::new(
-                config.compile_cache_capacity,
+                COMPILE_CACHE_CAPACITY,
             ))),
             obs,
             store,

@@ -7,6 +7,9 @@ use crate::error::PortalError;
 use auth::{Role, SessionError, Token};
 use vfs::VfsError;
 
+/// Quota in bytes for each account created through the admin API.
+const USER_QUOTA: u64 = 16 << 20;
+
 /// Everything a long-running operation needs to remember about the
 /// session that started it. Captured under the portal lock by the
 /// `*_begin` methods, carried through the unlocked middle phase, and
@@ -101,7 +104,7 @@ impl Portal {
         self.users.register(name, password, role)?;
         // After a crash recovery the home directory may already exist
         // (the vfs is journaled; the credential store is not).
-        match self.vfs().add_user(name, self.config.default_quota) {
+        match self.vfs().add_user(name, USER_QUOTA) {
             Ok(()) | Err(VfsError::UserExists(_)) => Ok(()),
             Err(e) => Err(e.into()),
         }

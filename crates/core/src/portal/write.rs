@@ -18,7 +18,7 @@ use cluster::SlaveId;
 use obs::TraceContext;
 use sched::{JobId, JobSpec, JobState};
 use std::sync::Arc;
-use toolchain::{ArtifactId, Executor};
+use toolchain::ArtifactId;
 
 impl Portal {
     // ---- admin -------------------------------------------------------------
@@ -187,10 +187,10 @@ impl Portal {
                 )
             };
             let aid = ArtifactId::from_string(artifact);
-            let exec = Executor::with_seed(self.config.seed ^ id.0);
-            let report = exec.run_with_stdin(
+            let report = toolchain::exec::run(
                 &self.artifacts,
                 &aid,
+                self.config.seed ^ id.0,
                 Arc::clone(&self.fs),
                 &user,
                 &stdin,
@@ -268,13 +268,9 @@ impl Portal {
     }
 
     /// Capture the registry into the time-series store and evaluate the
-    /// SLOs, every [`super::PortalConfig::sample_every`] ticks. Gauges are
-    /// republished first so captures never window over stale depth.
+    /// SLOs, once per tick. Gauges are republished first so captures never
+    /// window over stale depth.
     fn sample_metrics(&mut self, now_tick: u64) {
-        let every = self.config.sample_every;
-        if every == 0 || !now_tick.is_multiple_of(every) {
-            return;
-        }
         self.scheduler.publish_gauges();
         let t0 = std::time::Instant::now();
         if self.store.record(now_tick, &self.obs.metrics) {

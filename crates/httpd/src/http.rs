@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::Write;
 
 /// Request methods the portal uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -157,99 +157,16 @@ impl std::error::Error for HttpError {}
 /// Maximum accepted body (uploads included): 8 MiB.
 pub const MAX_BODY: usize = 8 << 20;
 
-/// Maximum accepted head (request line + headers): 32 KiB. Only the
-/// incremental parser enforces this — it must bound how much a client can
-/// dribble without ever completing a head; the blocking parser's
-/// slow-loris defence is the socket read deadline.
+/// Maximum accepted head (request line + headers): 32 KiB.
+/// [`Request::parse_bytes`] enforces it, so a client can never make either
+/// engine buffer an endless head; the read deadline bounds how long it
+/// may take to send one.
 pub const MAX_HEAD: usize = 32 << 10;
 
-/// Map an io error to the right protocol error: a socket deadline expiring
-/// (`TimedOut` on most platforms, `WouldBlock` on unix sockets with
-/// `SO_RCVTIMEO`) is a stalled client, not a malformed request.
-fn io_err(e: std::io::Error) -> HttpError {
-    match e.kind() {
-        std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock => HttpError::Timeout,
-        _ => HttpError::Io(e.to_string()),
-    }
-}
-
 impl Request {
-    /// Parse one request from a buffered stream with the default
-    /// [`MAX_BODY`] limit.
-    pub fn parse<R: Read>(stream: &mut BufReader<R>) -> Result<Request, HttpError> {
-        Request::parse_with_limit(stream, MAX_BODY)
-    }
-
-    /// Parse one request, rejecting bodies whose declared length exceeds
-    /// `max_body` *before* reading them (the bytes are never buffered).
-    pub fn parse_with_limit<R: Read>(
-        stream: &mut BufReader<R>,
-        max_body: usize,
-    ) -> Result<Request, HttpError> {
-        let mut line = String::new();
-        stream.read_line(&mut line).map_err(io_err)?;
-        if line.is_empty() {
-            return Err(HttpError::Malformed("empty request"));
-        }
-        let mut parts = line.trim_end().splitn(3, ' ');
-        let method = parts
-            .next()
-            .and_then(Method::parse)
-            .ok_or(HttpError::Malformed("bad method"))?;
-        let target = parts.next().ok_or(HttpError::Malformed("missing target"))?;
-        let version = parts
-            .next()
-            .ok_or(HttpError::Malformed("missing version"))?;
-        if !version.starts_with("HTTP/1.") {
-            return Err(HttpError::Malformed("unsupported version"));
-        }
-        let (path, query) = match target.split_once('?') {
-            Some((p, q)) => (p.to_string(), q.to_string()),
-            None => (target.to_string(), String::new()),
-        };
-        let mut headers = BTreeMap::new();
-        loop {
-            let mut hl = String::new();
-            stream.read_line(&mut hl).map_err(io_err)?;
-            let hl = hl.trim_end();
-            if hl.is_empty() {
-                break;
-            }
-            let (k, v) = hl
-                .split_once(':')
-                .ok_or(HttpError::Malformed("bad header"))?;
-            headers.insert(k.trim().to_ascii_lowercase(), v.trim().to_string());
-        }
-        let body = match headers.get("content-length") {
-            Some(cl) => {
-                let n: usize = cl
-                    .parse()
-                    .map_err(|_| HttpError::Malformed("bad content-length"))?;
-                if n > max_body {
-                    return Err(HttpError::TooLarge {
-                        declared: n,
-                        limit: max_body,
-                    });
-                }
-                let mut buf = vec![0u8; n];
-                stream.read_exact(&mut buf).map_err(io_err)?;
-                buf
-            }
-            None => Vec::new(),
-        };
-        Ok(Request {
-            method,
-            path,
-            query,
-            headers,
-            body,
-            params: BTreeMap::new(),
-        })
-    }
-
     /// Incrementally parse one request from `buf` (the bytes received so
-    /// far on a nonblocking socket). Returns `Ok(None)` when the buffer
-    /// holds a valid *prefix* of a request and more bytes are needed, and
+    /// far on a socket). Returns `Ok(None)` when the buffer holds a valid
+    /// *prefix* of a request and more bytes are needed, and
     /// `Ok(Some((request, consumed)))` once a full request is present —
     /// `consumed` bytes belong to it, anything after is the next pipelined
     /// request. Errors are reported as soon as they are decidable: a bad
@@ -513,10 +430,14 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
 
+    /// Parse a request that must be complete in `raw`: a valid prefix that
+    /// needs more bytes is an error here.
     fn parse(raw: &str) -> Result<Request, HttpError> {
-        Request::parse(&mut BufReader::new(Cursor::new(raw.as_bytes().to_vec())))
+        match Request::parse_bytes(raw.as_bytes(), MAX_BODY)? {
+            Some((req, _)) => Ok(req),
+            None => Err(HttpError::Malformed("incomplete request")),
+        }
     }
 
     #[test]
@@ -544,7 +465,7 @@ mod tests {
 
     #[test]
     fn malformed_requests_rejected() {
-        assert!(parse("").is_err());
+        assert!(matches!(Request::parse_bytes(b"", MAX_BODY), Ok(None)));
         assert!(parse("FROB / HTTP/1.1\r\n\r\n").is_err());
         assert!(parse("GET /\r\n\r\n").is_err());
         assert!(parse("GET / SPDY/3\r\n\r\n").is_err());
@@ -563,20 +484,16 @@ mod tests {
 
     #[test]
     fn custom_body_limit_enforced() {
-        let raw = "POST / HTTP/1.1\r\nContent-Length: 6\r\n\r\nabcdef";
-        let mut r = BufReader::new(Cursor::new(raw.as_bytes().to_vec()));
+        let raw = b"POST / HTTP/1.1\r\nContent-Length: 6\r\n\r\nabcdef";
         assert!(matches!(
-            Request::parse_with_limit(&mut r, 5),
+            Request::parse_bytes(raw, 5),
             Err(HttpError::TooLarge {
                 declared: 6,
                 limit: 5
             })
         ));
-        let mut r = BufReader::new(Cursor::new(raw.as_bytes().to_vec()));
-        assert_eq!(
-            Request::parse_with_limit(&mut r, 6).unwrap().body_str(),
-            "abcdef"
-        );
+        let (r, _) = Request::parse_bytes(raw, 6).unwrap().unwrap();
+        assert_eq!(r.body_str(), "abcdef");
     }
 
     #[test]

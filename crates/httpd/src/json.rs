@@ -80,11 +80,12 @@ impl Json {
         }
     }
 
-    /// Parse JSON text.
+    /// Parse JSON text, nested at most [`MAX_DEPTH`] arrays/objects deep.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = JsonParser {
             b: text.as_bytes(),
             i: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -128,9 +129,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, and request bodies come from unauthenticated
+/// clients: without a cap, a body of `[`s overflows the worker's stack and
+/// aborts the process.
+pub const MAX_DEPTH: usize = 64;
+
 struct JsonParser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> JsonParser<'a> {
@@ -175,12 +184,27 @@ impl<'a> JsonParser<'a> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object, one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -445,6 +469,22 @@ mod tests {
         ] {
             assert!(Json::parse(text).is_err(), "{text} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest =
+            |open: &str, close: &str, depth: usize| open.repeat(depth) + "0" + &close.repeat(depth);
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let deepest = nest(open, close, MAX_DEPTH);
+            assert!(Json::parse(&deepest).is_ok(), "depth {MAX_DEPTH} parses");
+            let too_deep = nest(open, close, MAX_DEPTH + 1);
+            let err = Json::parse(&too_deep).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
+        }
+        // Far past the cap, an unclosed run fails the same way instead of
+        // recursing once per byte.
+        assert!(Json::parse(&"[".repeat(1 << 20)).is_err());
     }
 
     #[test]

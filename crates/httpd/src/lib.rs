@@ -5,7 +5,8 @@
 //! dependency list, so this crate implements the slice of HTTP/1.1 the
 //! portal needs, from `std::net` up:
 //!
-//! * [`http`] — request parsing (blocking and incremental) / response
+//! * [`http`] — incremental request parsing (one parser for both
+//!   engines, capped at [`http::MAX_HEAD`] and a body limit) / response
 //!   serialization, status codes;
 //! * [`router`] — method + path-pattern routing with `:param` captures;
 //! * [`server`] — the front end: an epoll reactor with an M:N green-task

@@ -23,11 +23,11 @@
 //! Shutdown replaces the old "connect a no-op TCP client to our own
 //! listener" nudge: an `eventfd` [`Waker`] kicks the reactor out of
 //! `epoll_wait`, the listener is deregistered, idle connections are
-//! closed, and in-flight requests get `drain_grace` to finish.
+//! closed, and in-flight requests get `DRAIN_GRACE` to finish.
 
 use crate::http::{HttpError, Request, Response, Status};
 use crate::router::Router;
-use crate::server::{epoch_secs, ServerConfig, Shared};
+use crate::server::{epoch_secs, ServerConfig, Shared, DRAIN_GRACE};
 use crate::sys::{Epoll, Event, Interest, Waker};
 use crate::wheel::{Deadline, TimerWheel};
 use obs::{Counter, Gauge, Obs};
@@ -44,8 +44,9 @@ use std::time::{Duration, Instant};
 const TOKEN_WAKER: u64 = u64::MAX;
 /// Token reserved for the TCP listener.
 const TOKEN_LISTENER: u64 = u64::MAX - 1;
-/// Bytes read per `read` call while filling a request buffer.
-const READ_CHUNK: usize = 16 * 1024;
+/// Bytes read per `read` call while filling a request buffer (both
+/// engines).
+pub(crate) const READ_CHUNK: usize = 16 * 1024;
 /// Keep-alive buffers are shrunk back to this between requests so an
 /// idle connection's footprint stays bounded.
 const BUF_KEEP: usize = 16 * 1024;
@@ -404,7 +405,7 @@ fn reactor_loop(core: &Core, listener: TcpListener, workers: Vec<JoinHandle<()>>
         }
         if !stopping && core.shared.stop.load(Ordering::SeqCst) {
             stopping = true;
-            drain_deadline = Instant::now() + core.config.drain_grace;
+            drain_deadline = Instant::now() + DRAIN_GRACE;
             if listener_open {
                 let _ = core.epoll.deregister(listener.as_raw_fd());
                 listener_open = false;

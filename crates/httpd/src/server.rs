@@ -10,7 +10,7 @@ use crate::http::{HttpError, Request, Response, Status};
 use crate::reactor;
 use crate::router::Router;
 use obs::Obs;
-use std::io::{BufReader, Read};
+use std::io::{ErrorKind, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -43,9 +43,6 @@ pub struct ServerConfig {
     /// Connection budget: open connections beyond this are shed
     /// immediately with `503` + `Retry-After`.
     pub max_inflight: usize,
-    /// How long [`ServerHandle::shutdown`] waits for in-flight requests to
-    /// finish before giving up on them.
-    pub drain_grace: Duration,
     /// Emit one structured `http.access` event per completed request
     /// (method, path, status, bytes, duration) into the attached obs event
     /// log. Covers the pre-router rejections (408/413/400) that would
@@ -65,13 +62,16 @@ impl Default for ServerConfig {
             write_timeout: Duration::from_secs(10),
             max_body: crate::http::MAX_BODY,
             max_inflight: 64,
-            drain_grace: Duration::from_secs(5),
             access_log: false,
             engine: Engine::Auto,
             workers: 0,
         }
     }
 }
+
+/// How long [`ServerHandle::shutdown`] waits for in-flight requests to
+/// finish before giving up on them (both engines).
+pub const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
 /// Counters both engines publish and [`ServerHandle`] reads.
 #[derive(Default)]
@@ -102,7 +102,6 @@ enum EngineRt {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    drain_grace: Duration,
     engine: EngineRt,
 }
 
@@ -132,8 +131,8 @@ impl ServerHandle {
         self.shared.open.load(Ordering::SeqCst)
     }
 
-    /// Stop accepting, then wait (bounded by the configured drain grace)
-    /// for in-flight requests to complete. Never needs to reach the
+    /// Stop accepting, then wait (bounded by [`DRAIN_GRACE`]) for
+    /// in-flight requests to complete. Never needs to reach the
     /// listener over the network: the reactor is woken by its eventfd and
     /// the thread engine polls its accept loop.
     pub fn shutdown(mut self) {
@@ -147,7 +146,7 @@ impl ServerHandle {
                 if let Some(t) = accept.take() {
                     let _ = t.join();
                 }
-                let deadline = Instant::now() + self.drain_grace;
+                let deadline = Instant::now() + DRAIN_GRACE;
                 while self.shared.active.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
                     std::thread::sleep(Duration::from_millis(2));
                 }
@@ -271,7 +270,6 @@ impl Server {
             return Ok(ServerHandle {
                 addr: local,
                 shared,
-                drain_grace: self.config.drain_grace,
                 engine: EngineRt::Reactor {
                     core: rt.core,
                     thread: rt.thread,
@@ -281,7 +279,6 @@ impl Server {
         let router = self.router;
         let config = self.config;
         let obs = self.obs;
-        let drain_grace = config.drain_grace;
         let shared2 = Arc::clone(&shared);
         let accept_thread = std::thread::spawn(move || {
             // Nonblocking accept so shutdown needs no network nudge: the
@@ -338,7 +335,6 @@ impl Server {
         Ok(ServerHandle {
             addr: local,
             shared,
-            drain_grace,
             engine: EngineRt::Threads {
                 accept: Some(accept_thread),
             },
@@ -387,17 +383,42 @@ fn shed_connection(mut stream: TcpStream, config: &ServerConfig, obs: Option<&Ob
     });
 }
 
-fn handle_connection(stream: TcpStream, router: &Router, config: &ServerConfig, obs: Option<&Obs>) {
+/// Read one request off a blocking socket and parse it with the same
+/// incremental parser the reactor runs, so both engines enforce
+/// [`crate::http::MAX_HEAD`] and `max_body` alike. A read deadline
+/// expiring (`TimedOut` on most platforms, `WouldBlock` on unix sockets
+/// with `SO_RCVTIMEO`) is a stalled client, not a malformed request.
+fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, HttpError> {
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; reactor::READ_CHUNK];
+    loop {
+        if let Some((req, _)) = Request::parse_bytes(&buf, max_body)? {
+            return Ok(req);
+        }
+        match stream.read(&mut chunk) {
+            Ok(0) if buf.is_empty() => return Err(HttpError::Malformed("empty request")),
+            Ok(0) => return Err(HttpError::Malformed("truncated request")),
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) => {
+                return Err(HttpError::Timeout)
+            }
+            Err(e) => return Err(HttpError::Io(e.to_string())),
+        }
+    }
+}
+
+fn handle_connection(
+    mut stream: TcpStream,
+    router: &Router,
+    config: &ServerConfig,
+    obs: Option<&Obs>,
+) {
     let _ = stream.set_read_timeout(Some(config.read_timeout));
     let _ = stream.set_write_timeout(Some(config.write_timeout));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
     let started = Instant::now();
-    let mut reader = BufReader::new(stream);
     let mut request_line = (String::from("-"), String::from("-"));
-    let response = match Request::parse_with_limit(&mut reader, config.max_body) {
+    let response = match read_request(&mut stream, config.max_body) {
         Ok(mut req) => {
             request_line = (req.method.to_string(), req.path.clone());
             router.dispatch(&mut req)
@@ -430,7 +451,7 @@ fn handle_connection(stream: TcpStream, router: &Router, config: &ServerConfig, 
             Response::error(Status::BAD_REQUEST, e.to_string())
         }
     };
-    let _ = response.write_to(&mut writer);
+    let _ = response.write_to(&mut stream);
     if let Some(o) = obs {
         if config.access_log {
             o.events.record(
@@ -582,6 +603,33 @@ mod tests {
         );
         assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
         h.shutdown();
+    }
+
+    #[test]
+    fn endless_head_gets_400_on_both_engines() {
+        // A header line that never ends: each engine answers 400 once the
+        // head passes MAX_HEAD, rather than buffering it until the read
+        // deadline or memory runs out.
+        for engine in engines() {
+            let config = ServerConfig {
+                engine,
+                ..ServerConfig::default()
+            };
+            let h = Server::with_config(test_router(), config)
+                .spawn("127.0.0.1:0")
+                .unwrap();
+            let mut s = TcpStream::connect(h.addr()).unwrap();
+            s.write_all(b"GET /ping HTTP/1.1\r\nX-Big: ").unwrap();
+            s.write_all(&vec![b'x'; crate::http::MAX_HEAD + 1024])
+                .unwrap();
+            let resp = read_response(&mut s);
+            assert!(resp.starts_with("HTTP/1.1 400"), "{engine:?}: {resp}");
+            assert!(
+                resp.contains("request head too large"),
+                "{engine:?}: {resp}"
+            );
+            h.shutdown();
+        }
     }
 
     #[test]

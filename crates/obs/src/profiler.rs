@@ -16,7 +16,6 @@
 
 use crate::metrics::{Counter, Histogram, MetricsRegistry};
 use crate::DURATION_US_BOUNDS;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
@@ -32,8 +31,8 @@ pub const PROFILE_SITES: &[&str] = &[
     "wal.commit",
 ];
 
-/// Default threshold above which an operation is logged as slow.
-pub const DEFAULT_SLOW_OP_THRESHOLD_US: u64 = 1_000;
+/// Operations at or above this wall-clock duration are logged as slow.
+pub const SLOW_OP_THRESHOLD_US: u64 = 1_000;
 
 /// How many slowest operations the log retains.
 const SLOW_LOG_CAPACITY: usize = 32;
@@ -58,7 +57,6 @@ struct SiteHandles {
 /// `&self`; the hot path is one atomic op.
 pub struct Profiler {
     sites: Vec<(&'static str, SiteHandles)>,
-    threshold_us: AtomicU64,
     slow_log: Mutex<Vec<SlowOp>>,
 }
 
@@ -92,18 +90,8 @@ impl Profiler {
             .collect();
         Profiler {
             sites,
-            threshold_us: AtomicU64::new(DEFAULT_SLOW_OP_THRESHOLD_US),
             slow_log: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Change the slow-op threshold (microseconds).
-    pub fn set_threshold_us(&self, us: u64) {
-        self.threshold_us.store(us, Ordering::Relaxed);
-    }
-
-    pub fn threshold_us(&self) -> u64 {
-        self.threshold_us.load(Ordering::Relaxed)
     }
 
     fn handles(&self, site: &str) -> &SiteHandles {
@@ -115,11 +103,11 @@ impl Profiler {
     }
 
     /// Record one timed operation at `site`. `detail` is only evaluated
-    /// when the operation crosses the slow-op threshold.
+    /// when the operation crosses [`SLOW_OP_THRESHOLD_US`].
     pub fn observe(&self, site: &'static str, us: u64, detail: impl FnOnce() -> String) {
         let h = self.handles(site);
         h.wait.record(us);
-        if us >= self.threshold_us.load(Ordering::Relaxed) {
+        if us >= SLOW_OP_THRESHOLD_US {
             h.slow.inc();
             let mut log = self.slow_log.lock().unwrap_or_else(PoisonError::into_inner);
             log.push(SlowOp {
@@ -164,7 +152,6 @@ impl std::fmt::Debug for Profiler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Profiler")
             .field("sites", &self.sites.len())
-            .field("threshold_us", &self.threshold_us())
             .finish()
     }
 }
@@ -189,20 +176,19 @@ mod tests {
     fn slow_ops_cross_threshold_and_stay_bounded() {
         let reg = MetricsRegistry::new();
         let p = Profiler::new(&reg);
-        p.set_threshold_us(100);
         let mut evaluated = false;
-        p.observe("sched.tick", 50, || {
+        p.observe("sched.tick", SLOW_OP_THRESHOLD_US - 1, || {
             evaluated = true;
             "fast".into()
         });
         assert!(!evaluated, "detail must be lazy below the threshold");
         assert!(p.slowest().is_empty());
         for i in 0..100u64 {
-            p.observe("sched.tick", 100 + i, || format!("op{i}"));
+            p.observe("sched.tick", SLOW_OP_THRESHOLD_US + i, || format!("op{i}"));
         }
         let slow = p.slowest();
         assert_eq!(slow.len(), SLOW_LOG_CAPACITY);
-        assert_eq!(slow[0].us, 199);
+        assert_eq!(slow[0].us, SLOW_OP_THRESHOLD_US + 99);
         assert!(slow.windows(2).all(|w| w[0].us >= w[1].us));
         assert_eq!(
             reg.counter("ccp_slow_ops_total", &[("site", "sched.tick")])

@@ -226,9 +226,6 @@ pub struct Scheduler {
     /// only — never serialized, so recovered jobs fall back to plain
     /// (unparented) events.
     traces: BTreeMap<JobId, TraceContext>,
-    /// Context handed to the next [`Scheduler::submit_inner`] call (the job
-    /// id does not exist until then).
-    pending_trace: Option<TraceContext>,
     /// Durability log; `None` runs fully in memory (the default).
     journal: Option<Journal>,
     /// Most recent WAL failure. Logging degrades rather than panicking or
@@ -258,7 +255,6 @@ impl Scheduler {
             obs,
             metrics,
             traces: BTreeMap::new(),
-            pending_trace: None,
             journal: None,
             wal_error: None,
         }
@@ -379,10 +375,7 @@ impl Scheduler {
             .journal
             .is_some()
             .then(|| SchedRecord::Submit { spec: spec.clone() }.encode());
-        self.pending_trace = ctx;
-        let id = self.submit_inner(spec);
-        self.pending_trace = None;
-        let id = id?;
+        let id = self.submit_inner(spec, ctx)?;
         if let Some(p) = payload {
             if let Some(lsn) = self.log_payload(&p) {
                 self.wal_trace_event(id, lsn, "submit");
@@ -429,7 +422,11 @@ impl Scheduler {
         }
     }
 
-    fn submit_inner(&mut self, spec: JobSpec) -> Result<JobId, SchedError> {
+    fn submit_inner(
+        &mut self,
+        spec: JobSpec,
+        ctx: Option<TraceContext>,
+    ) -> Result<JobId, SchedError> {
         let capacity = self.cluster.spec().total_cores();
         if spec.cores_needed() > capacity {
             self.metrics.submit_rejected.inc();
@@ -439,7 +436,7 @@ impl Scheduler {
             });
         }
         let id = JobId(self.next_id);
-        if let Some(ctx) = self.pending_trace.take() {
+        if let Some(ctx) = ctx {
             self.traces.insert(id, ctx);
         }
         self.metrics.jobs_submitted.inc();
@@ -1067,7 +1064,7 @@ impl Scheduler {
     /// Re-execute one logged command (replay path; nothing is re-logged).
     pub fn apply_record(&mut self, rec: &SchedRecord) -> Result<(), SchedError> {
         match rec {
-            SchedRecord::Submit { spec } => self.submit_inner(spec.clone()).map(|_| ()),
+            SchedRecord::Submit { spec } => self.submit_inner(spec.clone(), None).map(|_| ()),
             SchedRecord::Cancel { id } => self.cancel_inner(*id),
             SchedRecord::Tick => {
                 self.tick_inner();

@@ -1,42 +1,36 @@
-//! Content-addressed compile cache: `(language, flags, source)` → compiled
-//! [`Program`], with LRU eviction and hit/miss/eviction accounting.
+//! Content-addressed compile cache: source text → compiled [`Program`],
+//! with LRU eviction and hit/miss/eviction accounting.
 //!
-//! The key hashes the *content*, not the owner: thirty students submitting
-//! the same starter code share one compilation. The per-owner
-//! [`crate::ArtifactId`] namespace is unaffected — the cache sits in front
-//! of the compiler, not the artifact store.
+//! The key is the source text alone. Only minilang reaches the compiler
+//! ([`crate::LanguageId::executable_here`]) and the compiler takes no
+//! flags, so the text decides the program. The key hashes the *content*,
+//! not the owner: thirty students submitting the same starter code share
+//! one compilation. The per-owner [`crate::ArtifactId`] namespace is
+//! unaffected — the cache sits in front of the compiler, not the artifact
+//! store.
 
-use crate::language::LanguageId;
 use minilang::Program;
 use std::collections::HashMap;
 
-/// Cache key: FNV-1a over language, flags, and source, with field
-/// separators so `("a", "b")` and `("ab", "")` cannot collide trivially.
+/// Cache key: FNV-1a over the source text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey(u64);
 
 impl CacheKey {
-    /// Derive the key for a compilation input.
-    pub fn derive(language: LanguageId, flags: &str, source: &str) -> CacheKey {
+    /// Derive the key for a source text.
+    pub fn derive(source: &str) -> CacheKey {
         let mut h: u64 = 0xcbf29ce484222325;
-        let mut eat = |bytes: &[u8]| {
-            for b in bytes.iter().chain([0u8].iter()) {
-                h ^= *b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        eat(format!("{language:?}").as_bytes());
-        eat(flags.as_bytes());
-        eat(source.as_bytes());
+        for b in source.bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
         CacheKey(h)
     }
 }
 
 #[derive(Debug)]
 struct CacheEntry {
-    /// Full input kept to reject hash collisions on lookup.
-    language: LanguageId,
-    flags: String,
+    /// Full source kept to reject hash collisions on lookup.
     source: String,
     program: Program,
     /// Logical LRU stamp (bumped on every hit).
@@ -69,7 +63,7 @@ impl CacheStats {
 }
 
 /// The compile cache. Owned by the portal (one per deployment), consulted
-/// by [`crate::CompileRequest::run_cached`].
+/// by [`crate::SourceSnapshot::compile`].
 #[derive(Debug)]
 pub struct CompileCache {
     capacity: usize,
@@ -94,13 +88,13 @@ impl CompileCache {
         }
     }
 
-    /// Look up a compilation. A hit requires the stored input to match
+    /// Look up a compilation. A hit requires the stored source to match
     /// byte-for-byte — a hash collision counts as a miss and will be
     /// replaced on the next insert.
-    pub fn lookup(&mut self, language: LanguageId, flags: &str, source: &str) -> Option<Program> {
-        let key = CacheKey::derive(language, flags, source);
+    pub fn lookup(&mut self, source: &str) -> Option<Program> {
+        let key = CacheKey::derive(source);
         match self.entries.get_mut(&key) {
-            Some(e) if e.language == language && e.flags == flags && e.source == source => {
+            Some(e) if e.source == source => {
                 self.clock += 1;
                 e.used_at = self.clock;
                 self.hits += 1;
@@ -115,11 +109,11 @@ impl CompileCache {
 
     /// Insert a successful compilation, evicting the least-recently-used
     /// entry when full.
-    pub fn insert(&mut self, language: LanguageId, flags: &str, source: &str, program: Program) {
+    pub fn insert(&mut self, source: &str, program: Program) {
         if self.capacity == 0 {
             return;
         }
-        let key = CacheKey::derive(language, flags, source);
+        let key = CacheKey::derive(source);
         if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
             if let Some(victim) = self
                 .entries
@@ -135,8 +129,6 @@ impl CompileCache {
         self.entries.insert(
             key,
             CacheEntry {
-                language,
-                flags: flags.to_string(),
                 source: source.to_string(),
                 program,
                 used_at: self.clock,
@@ -152,11 +144,6 @@ impl CompileCache {
             evictions: self.evictions,
             entries: self.entries.len(),
         }
-    }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
@@ -189,9 +176,9 @@ mod tests {
     fn same_input_hits_and_returns_identical_program() {
         let mut cache = CompileCache::new(8);
         let src = "fn main() { println(1); }";
-        assert!(cache.lookup(LanguageId::MiniLang, "", src).is_none());
-        cache.insert(LanguageId::MiniLang, "", src, prog(src));
-        let hit = cache.lookup(LanguageId::MiniLang, "", src).expect("hit");
+        assert!(cache.lookup(src).is_none());
+        cache.insert(src, prog(src));
+        let hit = cache.lookup(src).expect("hit");
         assert_eq!(format!("{hit:?}"), format!("{:?}", prog(src)));
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 1);
@@ -201,10 +188,9 @@ mod tests {
     fn one_byte_change_misses() {
         let mut cache = CompileCache::new(8);
         let src = "fn main() { println(1); }";
-        cache.insert(LanguageId::MiniLang, "", src, prog(src));
+        cache.insert(src, prog(src));
         let changed = "fn main() { println(2); }";
-        assert!(cache.lookup(LanguageId::MiniLang, "", changed).is_none());
-        assert!(cache.lookup(LanguageId::MiniLang, "-O2", src).is_none());
+        assert!(cache.lookup(changed).is_none());
     }
 
     #[test]
@@ -216,22 +202,22 @@ mod tests {
             "fn main() { return 3; }",
         ];
         for s in &sources {
-            cache.insert(LanguageId::MiniLang, "", s, prog(s));
+            cache.insert(s, prog(s));
         }
         let st = cache.stats();
         assert_eq!(st.entries, 2);
         assert_eq!(st.evictions, 1);
         // The first insert was least recently used: it is the victim.
-        assert!(cache.lookup(LanguageId::MiniLang, "", sources[0]).is_none());
-        assert!(cache.lookup(LanguageId::MiniLang, "", sources[2]).is_some());
+        assert!(cache.lookup(sources[0]).is_none());
+        assert!(cache.lookup(sources[2]).is_some());
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
         let mut cache = CompileCache::new(0);
         let src = "fn main() { }";
-        cache.insert(LanguageId::MiniLang, "", src, prog(src));
-        assert!(cache.lookup(LanguageId::MiniLang, "", src).is_none());
+        cache.insert(src, prog(src));
+        assert!(cache.lookup(src).is_none());
         assert_eq!(cache.stats().entries, 0);
     }
 
@@ -240,9 +226,9 @@ mod tests {
         let mut cache = CompileCache::new(8);
         let src = "fn main() { println(7); }";
         for round in 0..10 {
-            if cache.lookup(LanguageId::MiniLang, "", src).is_none() {
+            if cache.lookup(src).is_none() {
                 assert_eq!(round, 0, "only the first round may miss");
-                cache.insert(LanguageId::MiniLang, "", src, prog(src));
+                cache.insert(src, prog(src));
             }
         }
         assert!(cache.stats().hit_rate() >= 0.9);

@@ -1,13 +1,15 @@
-//! Executor objects: run a compiled artifact on the VM, with file I/O wired
+//! The executor: run a compiled artifact on the VM, with file I/O wired
 //! into the user's vfs home and stdin lines available to the program.
 //!
 //! This is the paper's "executor object, which in turn upon success contacts
 //! a job distributor" (§II) — the distributor half lives in `ccp-core`,
 //! which submits these executions as jobs; this module is the part that
-//! actually runs bytecode.
+//! actually runs bytecode. [`run`] looks a stored artifact up first (the
+//! distributor's tick); [`run_artifact`] runs one the caller already holds
+//! (an interactive run, which clones the artifact under the portal lock).
 
 use crate::artifact::{Artifact, ArtifactId, ArtifactStore};
-use minilang::{ExecOutcome, HostIo, RuntimeError, SchedPolicy, Vm, VmConfig};
+use minilang::{ExecOutcome, HostIo, RuntimeError, Vm, VmConfig};
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use vfs::Vfs;
@@ -105,112 +107,68 @@ impl ExecReport {
     }
 }
 
-/// Runs artifacts. One executor per execution request.
-pub struct Executor {
-    /// Scheduler seed (exposed so graders can sweep seeds).
-    pub seed: u64,
-    /// Scheduling policy for the VM's green threads.
-    pub policy: SchedPolicy,
-    /// Instruction budget.
-    pub max_instructions: u64,
+/// Run the stored artifact `id` as `user` under scheduler `seed`, with
+/// filesystem access through `fs` and `stdin` lines queued for
+/// `read_line()`. A missing artifact is recorded as a failed execution
+/// and returned as an error; everything else is [`run_artifact`].
+pub fn run(
+    store: &ArtifactStore,
+    id: &ArtifactId,
+    seed: u64,
+    fs: Arc<Mutex<Vfs>>,
+    user: &str,
+    stdin: &[String],
+    obs: &obs::Obs,
+) -> Result<ExecReport, ExecutorError> {
+    let Some(art) = store.get(id) else {
+        record_exec_metrics(obs, "error", 0, None);
+        return Err(ExecutorError::NoSuchArtifact(id.to_string()));
+    };
+    Ok(run_artifact(art, seed, fs, user, stdin, obs))
 }
 
-impl Default for Executor {
-    fn default() -> Self {
-        let d = VmConfig::default();
-        Executor {
-            seed: 0,
-            policy: d.policy,
-            max_instructions: d.max_instructions,
-        }
+/// Run an already-fetched [`Artifact`]: a caller that cloned the artifact
+/// under one lock can execute it later with no store access at all (the
+/// program rides in the artifact). Infallible — the VM's own failures land
+/// in the report. Records execution telemetry into `obs`: a
+/// `ccp_toolchain_execs_total{result}` counter, a wall-clock duration
+/// histogram, and a (deterministic) instruction-count histogram.
+pub fn run_artifact(
+    art: &Artifact,
+    seed: u64,
+    fs: Arc<Mutex<Vfs>>,
+    user: &str,
+    stdin: &[String],
+    obs: &obs::Obs,
+) -> ExecReport {
+    let started = std::time::Instant::now();
+    let config = VmConfig {
+        seed,
+        ..VmConfig::default()
+    };
+    let io = VfsIo::new(fs, user);
+    let mut vm = Vm::with_io(art.program.clone(), config, Box::new(io));
+    for line in stdin {
+        vm.push_stdin(line.clone());
     }
-}
-
-impl Executor {
-    /// An executor with a specific seed.
-    pub fn with_seed(seed: u64) -> Executor {
-        Executor {
-            seed,
-            ..Executor::default()
-        }
-    }
-
-    /// Run `artifact` as `user`, with filesystem access through `fs`,
-    /// recording execution telemetry into `obs`: a
-    /// `ccp_toolchain_execs_total{result}` counter, a wall-clock duration
-    /// histogram, and a (deterministic) instruction-count histogram.
-    pub fn run(
-        &self,
-        store: &ArtifactStore,
-        artifact: &ArtifactId,
-        fs: Arc<Mutex<Vfs>>,
-        user: &str,
-        obs: &obs::Obs,
-    ) -> Result<ExecReport, ExecutorError> {
-        self.run_with_stdin(store, artifact, fs, user, &[], obs)
-    }
-
-    /// Like [`Executor::run`], queuing `stdin` lines for `read_line()`.
-    pub fn run_with_stdin(
-        &self,
-        store: &ArtifactStore,
-        artifact: &ArtifactId,
-        fs: Arc<Mutex<Vfs>>,
-        user: &str,
-        stdin: &[String],
-        obs: &obs::Obs,
-    ) -> Result<ExecReport, ExecutorError> {
-        let Some(art) = store.get(artifact) else {
-            record_exec_metrics(obs, "error", 0, None);
-            return Err(ExecutorError::NoSuchArtifact(artifact.to_string()));
-        };
-        Ok(self.run_artifact_with_stdin(art, fs, user, stdin, obs))
-    }
-
-    /// Like [`Executor::run_with_stdin`], but for an already-fetched
-    /// [`Artifact`]: a caller that cloned the artifact under one lock can
-    /// execute it later with no store access at all (the program rides in
-    /// the artifact). Infallible — the VM's own failures land in the
-    /// report.
-    pub fn run_artifact_with_stdin(
-        &self,
-        art: &Artifact,
-        fs: Arc<Mutex<Vfs>>,
-        user: &str,
-        stdin: &[String],
-        obs: &obs::Obs,
-    ) -> ExecReport {
-        let started = std::time::Instant::now();
-        let config = VmConfig {
-            seed: self.seed,
-            policy: self.policy,
-            max_instructions: self.max_instructions,
-            ..VmConfig::default()
-        };
-        let io = VfsIo::new(fs, user);
-        let mut vm = Vm::with_io(art.program.clone(), config, Box::new(io));
-        for line in stdin {
-            vm.push_stdin(line.clone());
-        }
-        let report = match vm.run() {
-            Ok(outcome) => ExecReport {
-                artifact: art.id.clone(),
-                outcome: Some(outcome),
-                error: None,
-            },
-            Err(e) => ExecReport {
-                artifact: art.id.clone(),
-                outcome: None,
-                error: Some(e),
-            },
-        };
-        let (label, executed) = match &report.outcome {
-            Some(o) => ("ok", Some(o.executed)),
-            None => ("runtime_error", None),
-        };
-        record_exec_metrics(obs, label, started.elapsed().as_micros() as u64, executed);
-        report
-    }
+    let report = match vm.run() {
+        Ok(outcome) => ExecReport {
+            artifact: art.id.clone(),
+            outcome: Some(outcome),
+            error: None,
+        },
+        Err(e) => ExecReport {
+            artifact: art.id.clone(),
+            outcome: None,
+            error: Some(e),
+        },
+    };
+    let (label, executed) = match &report.outcome {
+        Some(o) => ("ok", Some(o.executed)),
+        None => ("runtime_error", None),
+    };
+    record_exec_metrics(obs, label, started.elapsed().as_micros() as u64, executed);
+    report
 }
 
 /// Shared recorder for the `ccp_toolchain_exec*` families.
@@ -268,12 +226,20 @@ mod tests {
         (Arc::new(Mutex::new(fs)), store, id)
     }
 
+    /// [`run`] with no stdin, telemetry discarded.
+    fn run_stored(
+        store: &ArtifactStore,
+        id: &ArtifactId,
+        seed: u64,
+        fs: Arc<Mutex<Vfs>>,
+    ) -> Result<ExecReport, ExecutorError> {
+        run(store, id, seed, fs, "alice", &[], &obs::Obs::new())
+    }
+
     #[test]
     fn run_captures_stdout() {
         let (fs, store, id) = setup("fn main() { println(\"hi\"); }");
-        let report = Executor::default()
-            .run(&store, &id, fs, "alice", &obs::Obs::new())
-            .unwrap();
+        let report = run_stored(&store, &id, 0, fs).unwrap();
         assert!(report.success());
         assert_eq!(report.outcome.unwrap().stdout, "hi\n");
     }
@@ -281,9 +247,7 @@ mod tests {
     #[test]
     fn relative_paths_resolve_to_home() {
         let (fs, store, id) = setup(r#"fn main() { write_file("out.txt", "data"); }"#);
-        let report = Executor::default()
-            .run(&store, &id, Arc::clone(&fs), "alice", &obs::Obs::new())
-            .unwrap();
+        let report = run_stored(&store, &id, 0, Arc::clone(&fs)).unwrap();
         assert!(report.success(), "{:?}", report.error);
         let content = fs
             .lock()
@@ -296,9 +260,7 @@ mod tests {
     #[test]
     fn permission_errors_surface_as_io() {
         let (fs, store, id) = setup(r#"fn main() { write_file("/home/root-owned.txt", "x"); }"#);
-        let report = Executor::default()
-            .run(&store, &id, fs, "alice", &obs::Obs::new())
-            .unwrap();
+        let report = run_stored(&store, &id, 0, fs).unwrap();
         assert!(!report.success());
         assert!(matches!(report.error, Some(RuntimeError::Io(_))));
     }
@@ -306,24 +268,14 @@ mod tests {
     #[test]
     fn missing_artifact_error() {
         let (fs, store, _) = setup("fn main() { }");
-        let err = Executor::default()
-            .run(
-                &store,
-                &ArtifactId::from_string("feedbeef"),
-                fs,
-                "alice",
-                &obs::Obs::new(),
-            )
-            .unwrap_err();
+        let err = run_stored(&store, &ArtifactId::from_string("feedbeef"), 0, fs).unwrap_err();
         assert!(matches!(err, ExecutorError::NoSuchArtifact(_)));
     }
 
     #[test]
     fn deadlock_reported_not_hung() {
         let (fs, store, id) = setup("fn main() { var m = mutex(); lock(m); lock(m); }");
-        let report = Executor::default()
-            .run(&store, &id, fs, "alice", &obs::Obs::new())
-            .unwrap();
+        let report = run_stored(&store, &id, 0, fs).unwrap();
         assert!(matches!(report.error, Some(RuntimeError::Deadlock { .. })));
     }
 
@@ -335,12 +287,8 @@ mod tests {
             fn main() { var a = spawn w(); var b = spawn w(); join(a); join(b); return counter; }
         "#;
         let (fs, store, id) = setup(src);
-        let r1 = Executor::with_seed(3)
-            .run(&store, &id, Arc::clone(&fs), "alice", &obs::Obs::new())
-            .unwrap();
-        let r2 = Executor::with_seed(3)
-            .run(&store, &id, fs, "alice", &obs::Obs::new())
-            .unwrap();
+        let r1 = run_stored(&store, &id, 3, Arc::clone(&fs)).unwrap();
+        let r2 = run_stored(&store, &id, 3, fs).unwrap();
         assert_eq!(
             r1.outcome.unwrap().main_result,
             r2.outcome.unwrap().main_result

@@ -10,13 +10,14 @@
 //!   with clear diagnostics when a source needs porting to the teaching
 //!   dialect;
 //! * [`artifact`] — the compiled-artifact store, content-addressed;
-//! * [`cache`] — the compile cache: byte-identical `(language, flags,
-//!   source)` inputs skip the compiler, so a class resubmitting starter
-//!   code compiles it once;
+//! * [`cache`] — the compile cache: a byte-identical source skips the
+//!   compiler, so a class resubmitting starter code compiles it once;
 //! * [`pipeline`] — `CompileRequest` objects: read source from the [`vfs`],
-//!   compile, collect gcc-style diagnostics, store the artifact;
-//! * [`exec`] — `Executor` objects: run an artifact on a VM wired to the
-//!   user's vfs home, with stdin injection and captured streams.
+//!   compile through the cache, collect gcc-style diagnostics, store the
+//!   artifact;
+//! * [`exec`] — [`exec::run`] and [`exec::run_artifact`]: run an artifact
+//!   on a VM wired to the user's vfs home, with stdin injection and
+//!   captured streams.
 
 pub mod artifact;
 pub mod cache;
@@ -26,7 +27,7 @@ pub mod pipeline;
 
 pub use artifact::{Artifact, ArtifactId, ArtifactStore};
 pub use cache::{CacheStats, CompileCache};
-pub use exec::{ExecReport, Executor, ExecutorError, VfsIo};
+pub use exec::{ExecReport, ExecutorError, VfsIo};
 pub use language::LanguageId;
 pub use pipeline::{
     CompileReport, CompileRequest, Diagnostic, PreparedCompile, Severity, SourceSnapshot,

@@ -1,7 +1,10 @@
 //! The compile pipeline: "it takes the needed information from a user, it
-//! then creates a compilation ... object" (§II). A [`CompileRequest`] reads
-//! the source from the user's vfs home, detects the language, compiles (if
-//! executable here) and stores the artifact.
+//! then creates a compilation ... object" (§II). A [`CompileRequest`] runs
+//! in three phases so the caller can hold a different lock for each:
+//! [`CompileRequest::snapshot`] reads the source out of the user's vfs
+//! home, [`SourceSnapshot::compile`] detects the language and compiles
+//! through the shared compile cache, and [`PreparedCompile::commit`]
+//! stores the artifact.
 
 use crate::artifact::{ArtifactId, ArtifactStore};
 use crate::cache::CompileCache;
@@ -68,9 +71,6 @@ pub struct CompileRequest {
     pub user: String,
     /// Path of the source file inside the vfs.
     pub source_path: String,
-    /// Compiler flags; part of the compile-cache key, so requests with
-    /// different flags never share a cached program.
-    pub flags: String,
 }
 
 /// What a compilation produced.
@@ -111,42 +111,12 @@ impl CompileReport {
 }
 
 impl CompileRequest {
-    /// A request for `user`'s file at `source_path` with no flags.
+    /// A request for `user`'s file at `source_path`.
     pub fn new(user: &str, source_path: &str) -> CompileRequest {
         CompileRequest {
             user: user.to_string(),
             source_path: source_path.to_string(),
-            flags: String::new(),
         }
-    }
-
-    /// The same request with compiler flags set.
-    pub fn with_flags(mut self, flags: &str) -> CompileRequest {
-        self.flags = flags.to_string();
-        self
-    }
-
-    /// Like [`CompileRequest::run`], but consult (and fill) the compile
-    /// cache: a byte-identical `(language, flags, source)` skips the
-    /// compiler and stores the cached program as this user's artifact.
-    pub fn run_cached(
-        &self,
-        fs: &Vfs,
-        store: &mut ArtifactStore,
-        cache: &mut CompileCache,
-        obs: &obs::Obs,
-    ) -> CompileReport {
-        self.snapshot(fs)
-            .compile_with(CacheRef::Exclusive(cache))
-            .commit(store, obs)
-    }
-
-    /// Execute the request against the filesystem and artifact store,
-    /// recording telemetry into `obs` (see [`PreparedCompile::commit`]).
-    pub fn run(&self, fs: &Vfs, store: &mut ArtifactStore, obs: &obs::Obs) -> CompileReport {
-        self.snapshot(fs)
-            .compile_with(CacheRef::None)
-            .commit(store, obs)
     }
 
     /// Phase 1 of the split pipeline: capture the source out of the vfs.
@@ -174,16 +144,6 @@ impl CompileRequest {
     }
 }
 
-/// Which compile cache phase 2 consults: none, an exclusively borrowed
-/// one (the single-owner legacy paths), or a shared mutex-guarded one
-/// (concurrent compiles; the lock is held per lookup/insert, never across
-/// the compiler).
-enum CacheRef<'a> {
-    None,
-    Exclusive(&'a mut CompileCache),
-    Shared(&'a Mutex<CompileCache>),
-}
-
 /// Cache accounting for one compilation: stat deltas plus the live entry
 /// count, captured under the same guard as the operations themselves so
 /// concurrent compiles cannot misattribute each other's hits.
@@ -193,13 +153,22 @@ struct CacheEvents {
     misses: u64,
     evictions: u64,
     entries: usize,
+    /// Whether the compile reached the cache at all. One that failed
+    /// before the lookup (a read error, a non-minilang source) never read
+    /// `entries`, so it must not publish it to the entries gauge.
     used: bool,
 }
 
 impl CacheEvents {
-    fn track<T>(&mut self, c: &mut CompileCache, op: impl FnOnce(&mut CompileCache) -> T) -> T {
+    /// Run `op` under the cache lock and accumulate its stat deltas.
+    fn track<T>(
+        &mut self,
+        cache: &Mutex<CompileCache>,
+        op: impl FnOnce(&mut CompileCache) -> T,
+    ) -> T {
+        let mut c = cache.lock().unwrap_or_else(PoisonError::into_inner);
         let before = c.stats();
-        let out = op(c);
+        let out = op(&mut c);
         let after = c.stats();
         self.hits += after.hits - before.hits;
         self.misses += after.misses - before.misses;
@@ -207,23 +176,6 @@ impl CacheEvents {
         self.entries = after.entries;
         self.used = true;
         out
-    }
-}
-
-impl CacheRef<'_> {
-    fn with<T>(
-        &mut self,
-        events: &mut CacheEvents,
-        op: impl FnOnce(&mut CompileCache) -> T,
-    ) -> Option<T> {
-        match self {
-            CacheRef::None => None,
-            CacheRef::Exclusive(c) => Some(events.track(c, op)),
-            CacheRef::Shared(m) => {
-                let mut cache = m.lock().unwrap_or_else(PoisonError::into_inner);
-                Some(events.track(&mut cache, op))
-            }
-        }
     }
 }
 
@@ -235,17 +187,10 @@ pub struct SourceSnapshot {
 }
 
 impl SourceSnapshot {
-    /// Phase 2: detect the language and compile. The shared cache — when
-    /// given — is locked per lookup/insert only; the compiler itself runs
-    /// with no locks held.
-    pub fn compile(self, cache: Option<&Mutex<CompileCache>>) -> PreparedCompile {
-        self.compile_with(match cache {
-            Some(m) => CacheRef::Shared(m),
-            None => CacheRef::None,
-        })
-    }
-
-    fn compile_with(self, cache: CacheRef<'_>) -> PreparedCompile {
+    /// Phase 2: detect the language and compile. The shared cache is
+    /// locked per lookup/insert only; the compiler itself runs with no
+    /// locks held.
+    pub fn compile(self, cache: &Mutex<CompileCache>) -> PreparedCompile {
         let started = std::time::Instant::now();
         let mut events = CacheEvents::default();
         let (request, language, diagnostics, compiled) = self.compile_parts(cache, &mut events);
@@ -262,7 +207,7 @@ impl SourceSnapshot {
     #[allow(clippy::type_complexity)]
     fn compile_parts(
         self,
-        mut cache: CacheRef<'_>,
+        cache: &Mutex<CompileCache>,
         events: &mut CacheEvents,
     ) -> (
         CompileRequest,
@@ -301,16 +246,12 @@ impl SourceSnapshot {
             }
             return (request, language, diagnostics, None);
         }
-        if let Some(Some(program)) =
-            cache.with(events, |c| c.lookup(language, &request.flags, &source))
-        {
+        if let Some(program) = events.track(cache, |c| c.lookup(&source)) {
             return (request, language, diagnostics, Some((source, program)));
         }
         match minilang::compile(&source) {
             Ok(program) => {
-                cache.with(events, |c| {
-                    c.insert(language, &request.flags, &source, program.clone())
-                });
+                events.track(cache, |c| c.insert(&source, program.clone()));
                 (request, language, diagnostics, Some((source, program)))
             }
             Err(err) => {
@@ -353,8 +294,8 @@ impl PreparedCompile {
     }
 
     /// Phase 3: record the artifact, plus telemetry into `obs`: the
-    /// `ccp_toolchain_*` compile series and — when a cache was consulted —
-    /// the `ccp_compile_cache_*` series. The caller holds whatever lock
+    /// `ccp_toolchain_*` compile series and — when phase 2 reached the
+    /// cache — the `ccp_compile_cache_*` series. The caller holds whatever lock
     /// guards the store only for this call.
     pub fn commit(self, store: &mut ArtifactStore, obs: &obs::Obs) -> CompileReport {
         let result = if self.success() { "ok" } else { "error" };
@@ -419,9 +360,13 @@ mod tests {
         (fs, ArtifactStore::new())
     }
 
-    /// [`CompileRequest::run`] for `user`'s `path`, telemetry discarded.
+    /// All three phases for `user`'s `path` on a fresh cache, telemetry
+    /// discarded.
     fn compile(fs: &Vfs, store: &mut ArtifactStore, user: &str, path: &str) -> CompileReport {
-        CompileRequest::new(user, path).run(fs, store, &obs::Obs::new())
+        CompileRequest::new(user, path)
+            .snapshot(fs)
+            .compile(&Mutex::new(CompileCache::new(8)))
+            .commit(store, &obs::Obs::new())
     }
 
     #[test]
@@ -496,7 +441,7 @@ mod tests {
     }
 
     #[test]
-    fn split_phases_match_run_and_share_a_mutexed_cache() {
+    fn split_phases_share_a_mutexed_cache() {
         let (mut fs, mut store) = setup();
         fs.write(
             "alice",
@@ -509,7 +454,7 @@ mod tests {
         // Snapshot, then drop all filesystem access before compiling.
         let snap = req.snapshot(&fs);
         drop(fs);
-        let prepared = snap.compile(Some(&cache));
+        let prepared = snap.compile(&cache);
         assert!(prepared.success());
         assert_eq!(store.len(), 0, "nothing stored before commit");
         let report = prepared.commit(&mut store, &obs::Obs::new());
@@ -524,7 +469,7 @@ mod tests {
         let (fs, mut store) = setup();
         let report = CompileRequest::new("alice", "/home/alice/nope.mini")
             .snapshot(&fs)
-            .compile(None)
+            .compile(&Mutex::new(CompileCache::new(8)))
             .commit(&mut store, &obs::Obs::new());
         assert!(!report.success());
         assert!(report.diagnostics[0].message.contains("no such file"));

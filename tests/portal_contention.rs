@@ -10,7 +10,9 @@
 //!   state and stays attributed to its submitter;
 //! * no torn state: a logout racing a two-phase heavy operation either
 //!   lets the result land (logout after commit) or drops it with a 401
-//!   (logout before commit) — never a panic, never a corrupted portal.
+//!   (logout before commit) — never a panic, never a corrupted portal;
+//! * no fatal request: a hostile body to an unauthenticated route gets a
+//!   4xx and the portal keeps serving.
 
 use ccp_core::{Portal, PortalConfig};
 use cluster::ClusterSpec;
@@ -306,6 +308,24 @@ fn concurrent_class_survives_on_the_reactor_engine() {
 #[test]
 fn concurrent_class_survives_on_the_thread_engine() {
     with_watchdog("thread stress", || stress_engine(Engine::Threads));
+}
+
+/// A 1 MiB login body of `[`s: the JSON parser refuses it at its depth
+/// cap with a 400, rather than recursing once per byte until the worker's
+/// stack overflows and the whole process aborts.
+#[test]
+fn nested_json_body_gets_400_and_the_portal_keeps_serving() {
+    with_watchdog("nested json", || {
+        for engine in [Engine::Reactor, Engine::Threads] {
+            let (handle, _) = serve(engine);
+            let mut c = Client::connect(handle.addr());
+            let (status, body) = c.call("POST", "/api/login", None, &vec![b'['; 1 << 20]);
+            assert_eq!(status, 400, "{engine:?}: {body:?}");
+            let (status, body) = c.call("GET", "/api/health", None, b"");
+            assert_eq!(status, 200, "{engine:?}: {body:?}");
+            handle.shutdown();
+        }
+    });
 }
 
 /// A session revoked while its analysis is in flight: the result is

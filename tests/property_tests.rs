@@ -358,10 +358,9 @@ fn compile_cache_is_content_exact() {
         let src = format!("fn main() {{ var x = {a}; println(x + {b}); }}");
         let mut cache = toolchain::CompileCache::new(16);
 
-        let lang = toolchain::LanguageId::MiniLang;
         let prog = minilang::compile(&src).unwrap();
-        cache.insert(lang, "", &src, prog.clone());
-        let hit = cache.lookup(lang, "", &src);
+        cache.insert(&src, prog.clone());
+        let hit = cache.lookup(&src);
         assert!(hit.is_some(), "identical source must hit");
         assert_eq!(
             format!("{:?}", hit.unwrap()),
@@ -376,7 +375,7 @@ fn compile_cache_is_content_exact() {
         mutated[i] ^= 1;
         let mutated = String::from_utf8(mutated).unwrap();
         assert!(
-            cache.lookup(lang, "", &mutated).is_none(),
+            cache.lookup(&mutated).is_none(),
             "one-byte change at offset {i} of {src:?} must miss"
         );
         let stats = cache.stats();
