@@ -40,6 +40,5 @@ pub use portal::{
 };
 pub use view::{
     AlertView, AnalysisView, DashboardView, EventView, FileView, HealthView, JobView, NodeView,
-    QuantilePanel, QuotaView, RatePanel, RecoveryView, SlowOpView, SpanView, TimelineEventView,
-    TraceView,
+    QuantilePanel, QuotaView, RatePanel, SlowOpView, SpanView, TimelineEventView, TraceView,
 };

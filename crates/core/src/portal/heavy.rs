@@ -193,22 +193,6 @@ impl Portal {
         self.check_stamp(&done.stamp, now)?;
         Ok(done.view)
     }
-
-    /// Grade a batch of lab submissions across the checker pool (faculty
-    /// or admin — grading exposes verdicts on other students' code). The
-    /// reports are identical to grading each submission serially.
-    pub fn grade_batch(
-        &self,
-        token: &Token,
-        items: &[(labs::LabId, String)],
-        now: u64,
-    ) -> Result<Vec<labs::GradeReport>, PortalError> {
-        let (_, role) = self.whoami(token, now)?;
-        if !role.at_least(Role::Faculty) {
-            return Err(PortalError::Forbidden("batch grading requires faculty"));
-        }
-        Ok(labs::grade_batch(&self.pool, items))
-    }
 }
 
 /// A validated compile, ready to run without the portal lock.
@@ -228,8 +212,8 @@ impl CompilePhase {
         let t0 = std::time::Instant::now();
         let snapshot = {
             let fs = self.fs.lock().unwrap_or_else(PoisonError::into_inner);
-            // Interactive runs hold the vfs lock for whole VM executions,
-            // so the compile path is where vfs contention shows up.
+            // VM runs take the vfs lock once per host-I/O call (`VfsIo`);
+            // file saves and journal compaction hold it briefly.
             self.obs
                 .profiler
                 .observe("vfs.lock", t0.elapsed().as_micros() as u64, || {

@@ -13,6 +13,7 @@
 //!   commit phases so the expensive middle runs with **no** portal lock
 //!   held.
 
+mod durable;
 mod heavy;
 mod read;
 mod session;
@@ -22,7 +23,6 @@ pub use heavy::{AnalyzeDone, AnalyzePhase, CompileDone, CompilePhase, RunDone, R
 pub use session::SessionStamp;
 
 use crate::error::PortalError;
-use crate::view::RecoveryView;
 use auth::{Role, SessionManager, UserStore};
 use cluster::{Cluster, ClusterSpec};
 use obs::{Obs, SloEngine, TimeSeriesStore};
@@ -31,7 +31,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use toolchain::ArtifactStore;
 use vfs::{Vfs, VfsError};
-use wal::{FileStorage, FsyncPolicy, Journal, JournalHooks, RecoveryReport};
+use wal::{FsyncPolicy, Journal, RecoveryReport};
 
 /// Portal construction parameters: the settings a deployment, the
 /// benchmark, an example or a determinism suite actually varies. Every
@@ -50,12 +50,15 @@ pub struct PortalConfig {
     /// serially.
     pub checker_threads: Option<usize>,
     /// Durability root. `Some(dir)` persists filesystem and scheduler
-    /// state to write-ahead logs under `dir` and recovers them at boot;
-    /// `None` (the default) keeps the portal fully in-memory, bit-for-bit
-    /// identical to the pre-durability behaviour.
+    /// state to one write-ahead log, `<dir>/portal.wal` plus its snapshot
+    /// `<dir>/portal.snap`, and recovers both from it at boot. A `dir`
+    /// holding the retired `vfs.wal` / `sched.wal` layout is refused: the
+    /// portal serves from memory and reports why in
+    /// [`Portal::wal_error`]. `None` (the default) keeps the portal fully
+    /// in-memory, bit-for-bit identical to the pre-durability behaviour.
     pub data_dir: Option<PathBuf>,
-    /// When to fsync the logs: group commit (one fsync per N appends) by
-    /// default; `Always` for strongest durability, `Never` for benches.
+    /// When to fsync the log: group commit, one fsync per 8 appends, by
+    /// default; `Always` syncs every append (the recovery tests use it).
     pub wal_fsync: FsyncPolicy,
     /// Run a checker analysis on every job the distributor executes,
     /// recording the verdict as a `checker.analyze` span in the job's
@@ -86,9 +89,6 @@ const SESSION_TTL: u64 = 3600;
 
 /// Compile-cache capacity in programs.
 const COMPILE_CACHE_CAPACITY: usize = 256;
-
-/// Install a snapshot and compact each WAL stream every this many records.
-const SNAPSHOT_INTERVAL: u64 = 1024;
 
 /// Time-series store depth: how many per-tick metrics captures the
 /// dashboard can window over before old ones roll off.
@@ -133,149 +133,6 @@ fn default_slos() -> Vec<obs::SloSpec> {
     ]
 }
 
-/// Routes [`Journal`] telemetry into the shared metrics registry, one hook
-/// set per stream (`stream="vfs"` / `stream="sched"`).
-struct WalMetricHooks {
-    appends: obs::Counter,
-    bytes: obs::Counter,
-    fsyncs: obs::Counter,
-    snapshots: obs::Counter,
-    /// For the contention profiler: group-commit storage-sync waits land
-    /// under the `wal.commit` site.
-    obs: Arc<Obs>,
-    stream: &'static str,
-}
-
-impl JournalHooks for WalMetricHooks {
-    fn on_append(&self, bytes: u64) {
-        self.appends.inc();
-        self.bytes.add(bytes);
-    }
-    fn on_fsync(&self) {
-        self.fsyncs.inc();
-    }
-    fn on_fsync_wait(&self, us: u64) {
-        self.obs
-            .profiler
-            .observe("wal.commit", us, || format!("{} stream fsync", self.stream));
-    }
-    fn on_snapshot(&self) {
-        self.snapshots.inc();
-    }
-}
-
-/// Describe and eagerly register every `ccp_wal_*` family for both
-/// streams, so `/api/metrics` exposes them from the first scrape even on
-/// an in-memory portal (the scrape contract is checked by
-/// `scripts/check_metrics.sh`).
-fn register_wal_metrics(obs: &Obs) {
-    let m = &obs.metrics;
-    m.describe("ccp_wal_appends_total", "records appended to the WAL");
-    m.describe("ccp_wal_bytes_total", "framed bytes appended to the WAL");
-    m.describe("ccp_wal_fsyncs_total", "fsyncs issued by the WAL");
-    m.describe(
-        "ccp_wal_snapshots_total",
-        "snapshots installed (log compactions)",
-    );
-    m.describe(
-        "ccp_wal_recoveries_total",
-        "crash recoveries performed at boot",
-    );
-    m.describe(
-        "ccp_wal_recovery_replay_us",
-        "wall time spent recovering a WAL stream at boot (us)",
-    );
-    for stream in ["vfs", "sched"] {
-        let labels = &[("stream", stream)];
-        m.counter("ccp_wal_appends_total", labels);
-        m.counter("ccp_wal_bytes_total", labels);
-        m.counter("ccp_wal_fsyncs_total", labels);
-        m.counter("ccp_wal_snapshots_total", labels);
-        m.counter("ccp_wal_recoveries_total", labels);
-        m.histogram(
-            "ccp_wal_recovery_replay_us",
-            labels,
-            obs::DURATION_US_BOUNDS,
-        );
-    }
-}
-
-fn wal_hooks(obs: &Arc<Obs>, stream: &'static str) -> Box<dyn JournalHooks> {
-    let m = &obs.metrics;
-    let labels = &[("stream", stream)];
-    Box::new(WalMetricHooks {
-        appends: m.counter("ccp_wal_appends_total", labels),
-        bytes: m.counter("ccp_wal_bytes_total", labels),
-        fsyncs: m.counter("ccp_wal_fsyncs_total", labels),
-        snapshots: m.counter("ccp_wal_snapshots_total", labels),
-        obs: Arc::clone(obs),
-        stream,
-    })
-}
-
-/// Open both WAL streams under `dir`, recover the filesystem and the
-/// scheduler from them, and leave the journals attached so subsequent
-/// mutations are logged. Returns the per-stream recovery views.
-fn open_durable(
-    dir: &std::path::Path,
-    config: &PortalConfig,
-    obs: &Arc<Obs>,
-    fs: &mut Vfs,
-    scheduler: &mut Scheduler,
-) -> Result<Vec<RecoveryView>, String> {
-    let open_stream = |name: &str| -> Result<(Journal, wal::Recovered), String> {
-        let storage = FileStorage::open(dir, name).map_err(|e| format!("open {name} log: {e}"))?;
-        Journal::open(Box::new(storage), config.wal_fsync, SNAPSHOT_INTERVAL)
-            .map_err(|e| format!("recover {name} log: {e}"))
-    };
-
-    let (vfs_journal, vfs_recovered) = open_stream("vfs")?;
-    let (recovered_fs, vfs_replay_errors) =
-        Vfs::recover(&vfs_recovered).map_err(|e| format!("replay vfs log: {e}"))?;
-    *fs = recovered_fs;
-    fs.attach_journal(vfs_journal.with_hooks(wal_hooks(obs, "vfs")));
-
-    let (sched_journal, sched_recovered) = open_stream("sched")?;
-    let sched_replay_errors = scheduler
-        .recover(&sched_recovered)
-        .map_err(|e| format!("replay sched log: {e}"))?;
-    scheduler.attach_journal(sched_journal.with_hooks(wal_hooks(obs, "sched")));
-
-    let mut views = Vec::new();
-    for (stream, report, replay_errors) in [
-        ("vfs", &vfs_recovered.report, vfs_replay_errors),
-        ("sched", &sched_recovered.report, sched_replay_errors),
-    ] {
-        let labels = &[("stream", stream)];
-        obs.metrics
-            .counter("ccp_wal_recoveries_total", labels)
-            .inc();
-        obs.metrics
-            .histogram(
-                "ccp_wal_recovery_replay_us",
-                labels,
-                obs::DURATION_US_BOUNDS,
-            )
-            .record(report.wall_us);
-        views.push(recovery_view(stream, report, replay_errors));
-    }
-    Ok(views)
-}
-
-fn recovery_view(stream: &str, report: &RecoveryReport, replay_errors: u64) -> RecoveryView {
-    RecoveryView {
-        stream: stream.to_string(),
-        snapshot_lsn: report.snapshot_lsn,
-        snapshot_corrupt: report.snapshot_corrupt,
-        records_replayed: report.records_replayed,
-        torn_bytes: report.torn_bytes,
-        corrupt_records: report.corrupt_records,
-        replay_errors,
-        last_lsn: report.last_lsn,
-        wall_us: report.wall_us,
-    }
-}
-
 /// The portal backend. One instance serves the whole site; the web layer
 /// wraps it in an `RwLock` (reads share, mutations are exclusive).
 ///
@@ -296,47 +153,49 @@ pub struct Portal {
     slo: SloEngine,
     config: PortalConfig,
     admin_bootstrapped: bool,
-    recovery: Vec<RecoveryView>,
-    wal_enabled: bool,
+    /// The one write-ahead log, when durable.
+    journal: Option<Arc<Mutex<Journal>>>,
+    recovery: Option<RecoveryReport>,
     wal_open_error: Option<String>,
 }
 
 impl Portal {
     /// Boot a portal: empty user store, cold cluster. With
     /// [`PortalConfig::data_dir`] set, the filesystem and scheduler are
-    /// recovered from their write-ahead logs (fresh when the logs are
-    /// empty) and every subsequent mutation is journaled; otherwise both
-    /// start fresh and stay in-memory. Every substrate records into one
-    /// shared telemetry domain.
+    /// recovered from the portal's write-ahead log (fresh when it is empty)
+    /// and every subsequent mutation is journaled; otherwise both start
+    /// fresh and stay in-memory. Every substrate records into one shared
+    /// telemetry domain.
     pub fn new(config: PortalConfig) -> Portal {
-        let cluster = Cluster::new(config.cluster.clone());
         let obs = Arc::new(Obs::new());
         let workers = config
             .checker_threads
             .unwrap_or_else(checker::Pool::default_workers);
         let pool = Arc::new(checker::Pool::new(workers).with_obs(Arc::clone(&obs)));
         toolchain::cache::register_cache_metrics(&obs);
-        register_wal_metrics(&obs);
+        durable::register_wal_metrics(&obs);
         let store = TimeSeriesStore::new(TS_CAPACITY);
         let slo = SloEngine::new(default_slos(), &obs.metrics);
 
-        let mut fs = Vfs::new();
-        let mut scheduler = Scheduler::new(cluster, SCHED_POLICY).with_obs(Arc::clone(&obs));
-        let mut recovery = Vec::new();
-        let mut wal_enabled = false;
+        let new_scheduler = || {
+            Scheduler::new(Cluster::new(config.cluster.clone()), SCHED_POLICY)
+                .with_obs(Arc::clone(&obs))
+        };
+        let mut recovered = None;
         let mut wal_open_error = None;
-        if let Some(dir) = config.data_dir.clone() {
-            match open_durable(&dir, &config, &obs, &mut fs, &mut scheduler) {
-                Ok(views) => {
-                    recovery = views;
-                    wal_enabled = true;
-                }
+        if let Some(dir) = &config.data_dir {
+            match durable::open(dir, config.wal_fsync, &obs, new_scheduler()) {
+                Ok(d) => recovered = Some(d),
                 // A portal that cannot journal still serves — from memory,
                 // with the failure surfaced in /api/health — rather than
                 // refusing to boot over a full disk or bad permissions.
                 Err(e) => wal_open_error = Some(e),
             }
         }
+        let (fs, scheduler, journal, recovery) = match recovered {
+            Some((fs, scheduler, journal, report)) => (fs, scheduler, Some(journal), Some(report)),
+            None => (Vfs::new(), new_scheduler(), None, None),
+        };
 
         Portal {
             users: UserStore::new(config.seed),
@@ -353,8 +212,8 @@ impl Portal {
             slo,
             config,
             admin_bootstrapped: false,
+            journal,
             recovery,
-            wal_enabled,
             wal_open_error,
         }
     }
@@ -368,9 +227,9 @@ impl Portal {
             return Err(PortalError::Bootstrap("admin already exists"));
         }
         self.users.register(name, password, Role::Admin)?;
-        match self.vfs().add_user(name, u64::MAX) {
-            Ok(()) | Err(VfsError::UserExists(_)) => {}
-            Err(e) => return Err(e.into()),
+        match self.vfs_op(|fs| fs.add_user(name, u64::MAX)) {
+            Ok(()) | Err(PortalError::Vfs(VfsError::UserExists(_))) => {}
+            Err(e) => return Err(e),
         }
         self.admin_bootstrapped = true;
         Ok(())
@@ -408,22 +267,25 @@ impl Portal {
 
     /// True when mutations are being journaled to disk.
     pub fn durable(&self) -> bool {
-        self.wal_enabled
+        self.journal.is_some()
     }
 
-    /// What each WAL stream went through at boot (empty for in-memory
-    /// portals).
-    pub fn recovery_reports(&self) -> &[RecoveryView] {
-        &self.recovery
+    /// What the journal's recovery went through at boot (`None` for
+    /// in-memory portals).
+    pub fn recovery_report(&self) -> Option<&RecoveryReport> {
+        self.recovery.as_ref()
     }
 
     /// The first durability failure, if any: the WAL could not be opened
-    /// at boot, or an append/fsync failed mid-run (the filesystem surfaces
-    /// those as errors; the scheduler records them here and keeps going).
+    /// at boot, or an append, fsync or snapshot failed mid-run (the
+    /// filesystem also returns those to its caller; the scheduler keeps
+    /// going).
     pub fn wal_error(&self) -> Option<String> {
-        self.wal_open_error
-            .clone()
-            .or_else(|| self.scheduler.wal_error().map(|e| e.to_string()))
+        self.wal_open_error.clone().or_else(|| {
+            let journal = self.journal.as_ref()?;
+            let journal = journal.lock().unwrap_or_else(PoisonError::into_inner);
+            journal.error().map(|e| e.to_string())
+        })
     }
 
     /// Direct scheduler access for tests and the bench harness.
@@ -439,5 +301,17 @@ impl Portal {
     /// The filesystem, recovered if a panicking holder poisoned its lock.
     fn vfs(&self) -> MutexGuard<'_, Vfs> {
         self.fs.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Run one filesystem mutation, then compact the journal if that made
+    /// it due, so file traffic compacts without waiting for a tick.
+    fn vfs_op<T>(
+        &self,
+        op: impl FnOnce(&mut Vfs) -> Result<T, VfsError>,
+    ) -> Result<T, PortalError> {
+        let mut fs = self.vfs();
+        let out = op(&mut fs)?;
+        durable::compact_if_due(self.journal.as_deref(), &fs, &self.scheduler);
+        Ok(out)
     }
 }

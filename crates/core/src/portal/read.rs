@@ -190,7 +190,7 @@ impl Portal {
             nodes_down,
             queue_depth: self.scheduler.pending().len(),
             jobs_running: self.scheduler.running_count(),
-            durable: self.wal_enabled,
+            durable: self.durable(),
             recovery: self.recovery.clone(),
             wal_error: self.wal_error(),
             alerts: self.alerts(),

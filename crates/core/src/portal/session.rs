@@ -104,9 +104,9 @@ impl Portal {
         self.users.register(name, password, role)?;
         // After a crash recovery the home directory may already exist
         // (the vfs is journaled; the credential store is not).
-        match self.vfs().add_user(name, USER_QUOTA) {
-            Ok(()) | Err(VfsError::UserExists(_)) => Ok(()),
-            Err(e) => Err(e.into()),
+        match self.vfs_op(|fs| fs.add_user(name, USER_QUOTA)) {
+            Ok(()) | Err(PortalError::Vfs(VfsError::UserExists(_))) => Ok(()),
+            Err(e) => Err(e),
         }
     }
 

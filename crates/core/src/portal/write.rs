@@ -17,7 +17,7 @@ use auth::{Role, Token};
 use cluster::SlaveId;
 use obs::TraceContext;
 use sched::{JobId, JobSpec, JobState};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 use toolchain::ArtifactId;
 
 impl Portal {
@@ -65,21 +65,21 @@ impl Portal {
     ) -> Result<(), PortalError> {
         let (user, role) = self.whoami(token, now)?;
         let full = self.resolve(&user, role, path)?;
-        Ok(self.vfs().write(&user, &full, data)?)
+        self.vfs_op(|fs| fs.write(&user, &full, data))
     }
 
     /// Create a directory (and parents).
     pub fn mkdir(&self, token: &Token, path: &str, now: u64) -> Result<(), PortalError> {
         let (user, role) = self.whoami(token, now)?;
         let full = self.resolve(&user, role, path)?;
-        Ok(self.vfs().mkdir_p(&user, &full)?)
+        self.vfs_op(|fs| fs.mkdir_p(&user, &full))
     }
 
     /// Delete a file or directory subtree.
     pub fn remove(&self, token: &Token, path: &str, now: u64) -> Result<(), PortalError> {
         let (user, role) = self.whoami(token, now)?;
         let full = self.resolve(&user, role, path)?;
-        Ok(self.vfs().remove_recursive(&user, &full)?)
+        self.vfs_op(|fs| fs.remove_recursive(&user, &full))
     }
 
     /// Rename / move.
@@ -87,7 +87,7 @@ impl Portal {
         let (user, role) = self.whoami(token, now)?;
         let f = self.resolve(&user, role, from)?;
         let t = self.resolve(&user, role, to)?;
-        Ok(self.vfs().rename(&user, &f, &t)?)
+        self.vfs_op(|fs| fs.rename(&user, &f, &t))
     }
 
     /// Copy a file or subtree.
@@ -95,7 +95,7 @@ impl Portal {
         let (user, role) = self.whoami(token, now)?;
         let f = self.resolve(&user, role, from)?;
         let t = self.resolve(&user, role, to)?;
-        Ok(self.vfs().copy(&user, &f, &t)?)
+        self.vfs_op(|fs| fs.copy(&user, &f, &t))
     }
 
     // ---- the job distributor -----------------------------------------------
@@ -235,6 +235,7 @@ impl Portal {
                 self.auto_analyze(id, &aid, now_tick);
             }
         }
+        super::durable::compact_if_due(self.journal.as_deref(), &self.vfs(), &self.scheduler);
         self.obs
             .profiler
             .observe("sched.tick", t0.elapsed().as_micros() as u64, || {
@@ -332,11 +333,16 @@ impl Portal {
         Ok(self.scheduler.cancel(id)?)
     }
 
-    /// Force both journals to disk (shutdown hook; group commit otherwise
-    /// decides when fsyncs happen).
+    /// Force the journal to disk (shutdown hook; group commit otherwise
+    /// decides when fsyncs happen). A failure is reported as
+    /// [`vfs::VfsError::Wal`].
     pub fn flush_wal(&mut self) -> Result<(), PortalError> {
-        self.vfs().flush_wal()?;
-        self.scheduler.flush_wal()?;
-        Ok(())
+        let Some(journal) = &self.journal else {
+            return Ok(());
+        };
+        let mut journal = journal.lock().unwrap_or_else(PoisonError::into_inner);
+        journal
+            .flush()
+            .map_err(|e| vfs::VfsError::Wal(e.to_string()).into())
     }
 }

@@ -79,31 +79,6 @@ pub struct EventView {
     pub fields: Vec<(String, String)>,
 }
 
-/// What one write-ahead log stream went through at boot (`/api/health`
-/// surfaces these so an operator can see a crash recovery happened and
-/// whether anything was lost).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryView {
-    /// Which subsystem's log: `"vfs"` or `"sched"`.
-    pub stream: String,
-    /// LSN covered by the snapshot that seeded recovery, if one existed.
-    pub snapshot_lsn: Option<u64>,
-    /// A snapshot blob existed but failed validation and was ignored.
-    pub snapshot_corrupt: bool,
-    /// Valid tail records replayed after the snapshot.
-    pub records_replayed: u64,
-    /// Trailing bytes discarded as a torn final write.
-    pub torn_bytes: u64,
-    /// Records discarded for checksum / sequence violations.
-    pub corrupt_records: u64,
-    /// Replayed records the subsystem itself rejected.
-    pub replay_errors: u64,
-    /// Highest LSN reconstructed.
-    pub last_lsn: u64,
-    /// Wall time recovery took, in microseconds.
-    pub wall_us: u64,
-}
-
 /// Health snapshot: the degraded flag, the per-node rows it is derived
 /// from, and the headline gauges — all computed from the same cluster
 /// walk so the health view can never disagree with `/api/metrics`.
@@ -125,8 +100,8 @@ pub struct HealthView {
     pub jobs_running: usize,
     /// True when the portal persists state through write-ahead logs.
     pub durable: bool,
-    /// What each log stream recovered at boot (empty in-memory portals).
-    pub recovery: Vec<RecoveryView>,
+    /// What the log recovered at boot (`None` for in-memory portals).
+    pub recovery: Option<wal::RecoveryReport>,
     /// Set when durability degraded: the WAL could not be opened, or hit
     /// an I/O error mid-run and stopped logging. The portal keeps serving
     /// from memory.

@@ -509,7 +509,6 @@ pub struct Vm {
     config: VmConfig,
     rr_cursor: usize,
     io: Box<dyn HostIo>,
-    boot: FnId,
     stdin: VecDeque<String>,
     /// When true, visible ops append to `events` and scheduling decisions
     /// append to `sched_trace`.
@@ -595,7 +594,6 @@ impl Vm {
             config,
             rr_cursor: 0,
             io,
-            boot,
             stdin: VecDeque::new(),
             record: false,
             events: Vec::new(),
@@ -730,26 +728,6 @@ impl Vm {
             .collect()
     }
 
-    /// [`Vm::enabled_threads`] into a caller-owned buffer (cleared first),
-    /// for schedulers that poll the enabled set every visible step.
-    pub fn enabled_threads_into(&self, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend((0..self.threads.len()).filter(|&t| self.is_ready(t)));
-    }
-
-    /// The enabled set with each thread's pending visible op, ascending by
-    /// thread id. Threads whose next instruction is thread-local (no
-    /// [`Vm::next_op`] key) are omitted: a normalizing scheduler runs
-    /// those eagerly, and a branching scheduler has nothing to branch on.
-    /// This is the query partial-order reducers combine with
-    /// [`OpKey::commutes_with`] to decide which enabled ops conflict.
-    pub fn enabled_ops(&self) -> Vec<(usize, OpKey)> {
-        (0..self.threads.len())
-            .filter(|&t| self.is_ready(t))
-            .filter_map(|t| self.next_op(t).map(|op| (t, op)))
-            .collect()
-    }
-
     /// When no thread is enabled but some are sleeping, jump the clock to
     /// the earliest wake-up. Returns true if the clock moved.
     pub fn advance_clock(&mut self) -> bool {
@@ -778,11 +756,6 @@ impl Vm {
         }
         self.context_switches += 1;
         self.run_slice(tid, quantum.max(1))
-    }
-
-    /// Human-readable lines for every blocked thread.
-    pub fn blocked_report(&self) -> Vec<String> {
-        self.describe_blocked()
     }
 
     /// Current owner of mutex `m`, if locked.
@@ -2136,11 +2109,6 @@ impl Vm {
     pub fn global(&self, name: &str) -> Option<&Value> {
         let slot = self.program.find_global(name)?;
         self.globals.get(slot)
-    }
-
-    /// The synthesized boot function id (exposed for tests).
-    pub fn boot_fn(&self) -> FnId {
-        self.boot
     }
 }
 

@@ -34,7 +34,7 @@ use rng::SplitMix64;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-use wal::{Dec, Enc, Journal, Recovered};
+use wal::{Dec, Enc, Stream};
 
 /// Scheduler errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -226,11 +226,11 @@ pub struct Scheduler {
     /// only — never serialized, so recovered jobs fall back to plain
     /// (unparented) events.
     traces: BTreeMap<JobId, TraceContext>,
-    /// Durability log; `None` runs fully in memory (the default).
-    journal: Option<Journal>,
-    /// Most recent WAL failure. Logging degrades rather than panicking or
-    /// failing the in-memory operation; the portal surfaces this in health.
-    wal_error: Option<String>,
+    /// This scheduler's stream on the portal's journal; `None` runs fully
+    /// in memory (the default). A failed append degrades rather than
+    /// failing the in-memory command: the journal keeps the error and the
+    /// portal surfaces it in health.
+    wal: Option<Stream>,
 }
 
 impl Scheduler {
@@ -255,8 +255,7 @@ impl Scheduler {
             obs,
             metrics,
             traces: BTreeMap::new(),
-            journal: None,
-            wal_error: None,
+            wal: None,
         }
     }
 
@@ -372,7 +371,7 @@ impl Scheduler {
         ctx: Option<TraceContext>,
     ) -> Result<JobId, SchedError> {
         let payload = self
-            .journal
+            .wal
             .is_some()
             .then(|| SchedRecord::Submit { spec: spec.clone() }.encode());
         let id = self.submit_inner(spec, ctx)?;
@@ -1001,64 +1000,29 @@ impl Scheduler {
 
     // ---- durability ------------------------------------------------------
 
-    /// Attach a durability journal. Subsequent commands are logged; open
-    /// the journal (and replay its [`Recovered`] state via
-    /// [`Scheduler::recover`]) *before* attaching.
-    pub fn attach_journal(&mut self, journal: Journal) {
-        self.journal = Some(journal);
+    /// Log every later command to `wal`. Restore the state the journal
+    /// recovered (via [`Scheduler::restore_snapshot`] and
+    /// [`Scheduler::replay`]) *before* attaching.
+    pub fn attach_wal(&mut self, wal: Stream) {
+        self.wal = Some(wal);
     }
 
-    /// Force buffered log records to stable storage (no-op without journal).
-    pub fn flush_wal(&mut self) -> Result<(), SchedError> {
-        match self.journal.as_mut() {
-            Some(j) => j.flush().map_err(|e| SchedError::Wal(e.to_string())),
-            None => Ok(()),
-        }
-    }
-
-    /// Highest LSN known durable, `None` when no journal is attached.
-    pub fn wal_durable_lsn(&self) -> Option<u64> {
-        self.journal.as_ref().map(|j| j.durable_lsn())
-    }
-
-    /// Highest LSN appended (durable or not), `None` without a journal.
-    pub fn wal_last_lsn(&self) -> Option<u64> {
-        self.journal.as_ref().map(|j| j.last_lsn())
-    }
-
-    /// The most recent WAL failure, if logging has degraded.
-    pub fn wal_error(&self) -> Option<&str> {
-        self.wal_error.as_deref()
-    }
-
-    /// Log one command, returning its LSN when a journal is attached and
+    /// Log one command, returning its LSN when a stream is attached and
     /// the append succeeded (so traced commands can record it).
-    fn log(&mut self, make: impl FnOnce() -> SchedRecord) -> Option<u64> {
-        self.journal.as_ref()?;
-        let payload = make().encode();
-        self.log_payload(&payload)
+    fn log(&self, make: impl FnOnce() -> SchedRecord) -> Option<u64> {
+        self.wal.as_ref()?;
+        self.log_payload(&make().encode())
     }
 
-    fn log_payload(&mut self, payload: &[u8]) -> Option<u64> {
-        // Take the journal so a snapshot can borrow `self` while appending.
-        let mut j = self.journal.take()?;
-        let res = j.append(payload).and_then(|lsn| {
-            if j.wants_snapshot() {
-                let snap = self.snapshot_bytes();
-                j.install_snapshot(&snap)?;
-            }
-            Ok(lsn)
-        });
-        self.journal = Some(j);
-        match res {
-            Ok(lsn) => Some(lsn),
-            Err(e) => {
-                // Degrade rather than panic or fail the already-committed
-                // in-memory mutation; the portal surfaces this via health.
-                self.wal_error = Some(e.to_string());
-                None
-            }
-        }
+    fn log_payload(&self, payload: &[u8]) -> Option<u64> {
+        self.wal.as_ref()?.append(payload).ok()
+    }
+
+    /// Decode one logged command and re-execute it (replay path; nothing
+    /// is re-logged).
+    pub fn replay(&mut self, payload: &[u8]) -> Result<(), SchedError> {
+        let rec = SchedRecord::decode(payload).map_err(|e| SchedError::Wal(e.to_string()))?;
+        self.apply_record(&rec)
     }
 
     /// Re-execute one logged command (replay path; nothing is re-logged).
@@ -1235,30 +1199,6 @@ impl Scheduler {
         }
         self.publish_gauges();
         Ok(())
-    }
-
-    /// Rebuild scheduler state from what [`wal::Journal::open`] recovered:
-    /// restore the snapshot (if any), then replay the command tail. `self`
-    /// must be freshly configured identically to the crashed instance.
-    /// Returns how many records failed to replay — bad records are skipped,
-    /// not fatal, so one corrupt entry cannot take the whole portal down.
-    pub fn recover(&mut self, recovered: &Recovered) -> Result<u64, SchedError> {
-        if let Some(snap) = &recovered.snapshot {
-            self.restore_snapshot(snap)?;
-        }
-        let mut errors = 0u64;
-        for (_lsn, payload) in &recovered.records {
-            match SchedRecord::decode(payload) {
-                Ok(rec) => {
-                    if self.apply_record(&rec).is_err() {
-                        errors += 1;
-                    }
-                }
-                Err(_) => errors += 1,
-            }
-        }
-        self.publish_gauges();
-        Ok(errors)
     }
 
     /// Mean queue wait of completed jobs, in ticks.
@@ -1842,15 +1782,31 @@ mod tests {
         assert!(matches!(s.restore_snapshot(&snap), Err(SchedError::Wal(_))));
     }
 
-    #[test]
-    fn journaled_commands_replay_to_identical_state() {
-        use wal::{FsyncPolicy, Journal, MemStorage};
+    /// Attach a fresh in-memory journal to `s`.
+    fn journaled(s: &mut Scheduler) -> wal::MemStorage {
+        use std::sync::Mutex;
+        use wal::{FsyncPolicy, Journal, MemStorage, Stream};
         let storage = MemStorage::new();
         let (j, _) = Journal::open(Box::new(storage.clone()), FsyncPolicy::Always, 0).unwrap();
+        s.attach_wal(Stream::new(Arc::new(Mutex::new(j)), 0));
+        storage
+    }
+
+    /// Replay every record the journal over `storage` recovered into `s`.
+    fn replay_into(s: &mut Scheduler, storage: wal::MemStorage) {
+        use wal::{FsyncPolicy, Journal};
+        let (_, rec) = Journal::open(Box::new(storage), FsyncPolicy::Always, 0).unwrap();
+        for (_, _, payload) in &rec.records {
+            s.replay(payload).unwrap();
+        }
+    }
+
+    #[test]
+    fn journaled_commands_replay_to_identical_state() {
         let mut s = sched(SchedPolicyKind::Fifo)
             .with_retry(RetryPolicy::fixed(3, 2))
             .with_retry_seed(7);
-        s.attach_journal(j);
+        let storage = journaled(&mut s);
         let a = s.submit(JobSpec::sequential("alice", "x", 5)).unwrap();
         let b = s.submit(JobSpec::interactive("bob", "shell")).unwrap();
         s.run_ticks(3);
@@ -1866,16 +1822,13 @@ mod tests {
             s.job(a).unwrap().state,
             JobState::Completed { .. }
         ));
-        assert!(s.wal_error().is_none());
         let want = s.snapshot_bytes();
         drop(s); // "crash"
 
-        let (_, rec) = Journal::open(Box::new(storage), FsyncPolicy::Always, 0).unwrap();
         let mut fresh = sched(SchedPolicyKind::Fifo)
             .with_retry(RetryPolicy::fixed(3, 2))
             .with_retry_seed(7);
-        let errors = fresh.recover(&rec).unwrap();
-        assert_eq!(errors, 0);
+        replay_into(&mut fresh, storage);
         assert_eq!(fresh.snapshot_bytes(), want);
         assert_eq!(
             fresh.job(b).unwrap().streams.stdout,
@@ -1885,30 +1838,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_compaction_midstream_preserves_state() {
-        use wal::{FsyncPolicy, Journal, MemStorage};
-        let storage = MemStorage::new();
-        // Snapshot every 5 records so compaction fires mid-history.
-        let (j, _) = Journal::open(Box::new(storage.clone()), FsyncPolicy::Always, 5).unwrap();
-        let mut s = sched(SchedPolicyKind::Fifo);
-        s.attach_journal(j);
-        for i in 0..6 {
-            s.submit(JobSpec::sequential("u", "x", 2 + i)).unwrap();
-        }
-        s.run_ticks(12);
-        let want = s.snapshot_bytes();
-        drop(s);
-
-        let (_, rec) = Journal::open(Box::new(storage), FsyncPolicy::Always, 5).unwrap();
-        assert!(rec.report.snapshot_lsn.is_some(), "compaction never fired");
-        let mut fresh = sched(SchedPolicyKind::Fifo);
-        assert_eq!(fresh.recover(&rec).unwrap(), 0);
-        assert_eq!(fresh.snapshot_bytes(), want);
-    }
-
-    #[test]
     fn recovered_backoff_jitter_matches_uncrashed_run() {
-        use wal::{FsyncPolicy, Journal, MemStorage};
         // Reference run, never crashed: node loss at a known tick, jitter
         // drawn from the seeded RNG.
         let jittery = RetryPolicy {
@@ -1935,21 +1865,18 @@ mod tests {
         // the same loss. The recovered RNG must draw the same jitter.
         // (Direct cluster_mut health flips aren't commands, so the fault is
         // injected after recovery in both runs via ticks only.)
-        let storage = MemStorage::new();
-        let (j, _) = Journal::open(Box::new(storage.clone()), FsyncPolicy::Always, 0).unwrap();
         let mut s = sched(SchedPolicyKind::Fifo)
             .with_retry(jittery)
             .with_retry_seed(99);
-        s.attach_journal(j);
+        let storage = journaled(&mut s);
         s.submit(JobSpec::sequential("u", "x", 50)).unwrap();
         s.run_ticks(2);
         drop(s); // crash before the outage
 
-        let (_, rec) = Journal::open(Box::new(storage), FsyncPolicy::Always, 0).unwrap();
         let mut recovered = sched(SchedPolicyKind::Fifo)
             .with_retry(jittery)
             .with_retry_seed(99);
-        recovered.recover(&rec).unwrap();
+        replay_into(&mut recovered, storage);
         let victim = recovered.cluster().slave_ids()[0];
         recovered
             .cluster_mut()

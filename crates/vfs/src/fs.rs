@@ -8,7 +8,7 @@ use crate::error::VfsError;
 use crate::journal::{decode_mode, encode_mode, VfsRecord};
 use crate::path::VPath;
 use std::collections::{BTreeMap, HashMap};
-use wal::{Dec, Enc, Journal, Recovered};
+use wal::{Dec, Enc, Stream};
 
 /// Simplified POSIX-style permission bits: owner and world, read and write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,8 +178,9 @@ pub struct Vfs {
     root: Node,
     users: HashMap<String, UserAccount>,
     clock: u64,
-    /// Durability log; `None` runs fully in memory (the default).
-    journal: Option<Journal>,
+    /// This filesystem's stream on the portal's journal; `None` runs fully
+    /// in memory (the default).
+    wal: Option<Stream>,
 }
 
 impl Default for Vfs {
@@ -219,7 +220,7 @@ impl Vfs {
             },
             users,
             clock: 1,
-            journal: None,
+            wal: None,
         }
     }
 
@@ -496,7 +497,7 @@ impl Vfs {
     /// the *file owner* (the acting user for new files; unchanged for
     /// overwrites of files they can write).
     pub fn write(&mut self, user: &str, path: &str, data: Vec<u8>) -> Result<(), VfsError> {
-        let payload = self.journal.is_some().then(|| {
+        let payload = self.wal.is_some().then(|| {
             VfsRecord::Write {
                 user: user.to_string(),
                 path: path.to_string(),
@@ -861,53 +862,33 @@ impl Vfs {
 
     // ---- durability ------------------------------------------------------
 
-    /// Attach a durability journal. Subsequent mutations are logged to it;
-    /// open the journal (and apply its [`Recovered`] state via
-    /// [`Vfs::recover`]) *before* attaching.
-    pub fn attach_journal(&mut self, journal: Journal) {
-        self.journal = Some(journal);
+    /// Log every later mutation to `wal`. Restore the state the journal
+    /// recovered (via [`Vfs::from_snapshot`] and [`Vfs::replay`]) *before*
+    /// attaching.
+    pub fn attach_wal(&mut self, wal: Stream) {
+        self.wal = Some(wal);
     }
 
-    /// Force buffered log records to stable storage (no-op without journal).
-    pub fn flush_wal(&mut self) -> Result<(), VfsError> {
-        match self.journal.as_mut() {
-            Some(j) => j.flush().map_err(|e| VfsError::Wal(e.to_string())),
-            None => Ok(()),
-        }
-    }
-
-    /// Highest LSN known durable, `None` when no journal is attached.
-    pub fn wal_durable_lsn(&self) -> Option<u64> {
-        self.journal.as_ref().map(|j| j.durable_lsn())
-    }
-
-    /// Highest LSN appended (durable or not), `None` without a journal.
-    pub fn wal_last_lsn(&self) -> Option<u64> {
-        self.journal.as_ref().map(|j| j.last_lsn())
-    }
-
-    fn log(&mut self, make: impl FnOnce() -> VfsRecord) -> Result<(), VfsError> {
-        if self.journal.is_none() {
+    fn log(&self, make: impl FnOnce() -> VfsRecord) -> Result<(), VfsError> {
+        if self.wal.is_none() {
             return Ok(());
         }
-        let payload = make().encode();
-        self.log_payload(&payload)
+        self.log_payload(&make().encode())
     }
 
-    fn log_payload(&mut self, payload: &[u8]) -> Result<(), VfsError> {
-        // Take the journal so a snapshot can borrow `self` while appending.
-        let Some(mut j) = self.journal.take() else {
-            return Ok(());
-        };
-        let res = j.append(payload).and_then(|_| {
-            if j.wants_snapshot() {
-                let snap = self.snapshot_bytes();
-                j.install_snapshot(&snap)?;
-            }
-            Ok(())
-        });
-        self.journal = Some(j);
-        res.map(|_| ()).map_err(|e| VfsError::Wal(e.to_string()))
+    fn log_payload(&self, payload: &[u8]) -> Result<(), VfsError> {
+        if let Some(wal) = &self.wal {
+            wal.append(payload)
+                .map_err(|e| VfsError::Wal(e.to_string()))?;
+        }
+        Ok(())
+    }
+
+    /// Decode one logged record and re-execute it (replay path; nothing is
+    /// re-logged).
+    pub fn replay(&mut self, payload: &[u8]) -> Result<(), VfsError> {
+        let rec = VfsRecord::decode(payload).map_err(|e| VfsError::Wal(e.to_string()))?;
+        self.apply(&rec)
     }
 
     /// Re-execute one logged record (replay path; nothing is re-logged).
@@ -975,32 +956,8 @@ impl Vfs {
             root,
             users,
             clock,
-            journal: None,
+            wal: None,
         })
-    }
-
-    /// Rebuild filesystem state from what [`wal::Journal::open`] recovered:
-    /// seed from the snapshot (or a fresh filesystem), then replay the log
-    /// tail. Returns the filesystem and how many records failed to replay —
-    /// individual bad records are skipped, not fatal, so one corrupt entry
-    /// cannot take the whole portal down.
-    pub fn recover(recovered: &Recovered) -> Result<(Vfs, u64), VfsError> {
-        let mut fs = match &recovered.snapshot {
-            Some(bytes) => Vfs::from_snapshot(bytes)?,
-            None => Vfs::new(),
-        };
-        let mut errors = 0u64;
-        for (_lsn, payload) in &recovered.records {
-            match VfsRecord::decode(payload) {
-                Ok(rec) => {
-                    if fs.apply(&rec).is_err() {
-                        errors += 1;
-                    }
-                }
-                Err(_) => errors += 1,
-            }
-        }
-        Ok((fs, errors))
     }
 }
 
@@ -1426,13 +1383,32 @@ mod tests {
         assert!(matches!(Vfs::from_snapshot(&snap), Err(VfsError::Wal(_))));
     }
 
-    #[test]
-    fn journaled_history_replays_to_identical_state() {
-        use wal::{FsyncPolicy, Journal, MemStorage};
+    /// A filesystem logging to a fresh in-memory journal.
+    fn journaled() -> (Vfs, wal::MemStorage) {
+        use std::sync::{Arc, Mutex};
+        use wal::{FsyncPolicy, Journal, MemStorage, Stream};
         let storage = MemStorage::new();
         let (j, _) = Journal::open(Box::new(storage.clone()), FsyncPolicy::Always, 0).unwrap();
         let mut fs = Vfs::new();
-        fs.attach_journal(j);
+        fs.attach_wal(Stream::new(Arc::new(Mutex::new(j)), 0));
+        (fs, storage)
+    }
+
+    /// Replay every record the journal over `storage` recovered into a
+    /// fresh filesystem.
+    fn replayed(storage: wal::MemStorage) -> (Vfs, usize) {
+        use wal::{FsyncPolicy, Journal};
+        let (_, rec) = Journal::open(Box::new(storage), FsyncPolicy::Always, 0).unwrap();
+        let mut fs = Vfs::new();
+        for (_, _, payload) in &rec.records {
+            fs.replay(payload).unwrap();
+        }
+        (fs, rec.records.len())
+    }
+
+    #[test]
+    fn journaled_history_replays_to_identical_state() {
+        let (mut fs, storage) = journaled();
         fs.add_user("alice", 10_000).unwrap();
         fs.add_user("bob", 1_000).unwrap();
         fs.mkdir("alice", "/home/alice/src").unwrap();
@@ -1449,42 +1425,13 @@ mod tests {
         let want = fs.snapshot_bytes();
         drop(fs); // "crash"
 
-        let (_, rec) = Journal::open(Box::new(storage), FsyncPolicy::Always, 0).unwrap();
-        let (recovered, replay_errors) = Vfs::recover(&rec).unwrap();
-        assert_eq!(replay_errors, 0);
-        assert_eq!(recovered.snapshot_bytes(), want);
-    }
-
-    #[test]
-    fn snapshot_compaction_midstream_preserves_state() {
-        use wal::{FsyncPolicy, Journal, MemStorage};
-        let storage = MemStorage::new();
-        // Snapshot every 3 records so compaction fires mid-history.
-        let (j, _) = Journal::open(Box::new(storage.clone()), FsyncPolicy::Always, 3).unwrap();
-        let mut fs = Vfs::new();
-        fs.attach_journal(j);
-        fs.add_user("alice", 100_000).unwrap();
-        for i in 0..10 {
-            fs.write("alice", &format!("/home/alice/f{i}"), vec![i as u8; 10])
-                .unwrap();
-        }
-        let want = fs.snapshot_bytes();
-        drop(fs);
-
-        let (_, rec) = Journal::open(Box::new(storage), FsyncPolicy::Always, 3).unwrap();
-        assert!(rec.report.snapshot_lsn.is_some(), "compaction never fired");
-        let (recovered, replay_errors) = Vfs::recover(&rec).unwrap();
-        assert_eq!(replay_errors, 0);
+        let (recovered, _) = replayed(storage);
         assert_eq!(recovered.snapshot_bytes(), want);
     }
 
     #[test]
     fn failed_operations_are_not_logged() {
-        use wal::{FsyncPolicy, Journal, MemStorage};
-        let storage = MemStorage::new();
-        let (j, _) = Journal::open(Box::new(storage.clone()), FsyncPolicy::Always, 0).unwrap();
-        let mut fs = Vfs::new();
-        fs.attach_journal(j);
+        let (mut fs, storage) = journaled();
         fs.add_user("bob", 10).unwrap();
         fs.write("bob", "/home/bob/a", vec![0; 10]).unwrap();
         // Over quota: fails in memory, must leave no record behind.
@@ -1493,10 +1440,14 @@ mod tests {
         let want = fs.snapshot_bytes();
         drop(fs);
 
-        let (_, rec) = Journal::open(Box::new(storage), FsyncPolicy::Always, 0).unwrap();
-        assert_eq!(rec.records.len(), 2); // add_user + one successful write
-        let (recovered, replay_errors) = Vfs::recover(&rec).unwrap();
-        assert_eq!(replay_errors, 0);
+        let (recovered, records) = replayed(storage);
+        assert_eq!(records, 2); // add_user + one successful write
         assert_eq!(recovered.snapshot_bytes(), want);
+    }
+
+    #[test]
+    fn replay_rejects_a_garbled_record() {
+        let mut fs = Vfs::new();
+        assert!(matches!(fs.replay(&[0xff]), Err(VfsError::Wal(_))));
     }
 }

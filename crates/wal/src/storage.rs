@@ -27,8 +27,9 @@ pub trait WalStorage: std::fmt::Debug + Send + Sync {
     fn truncate_log(&mut self, len: u64) -> Result<(), WalError>;
     /// Drop the whole log (after its contents were folded into a snapshot).
     fn reset_log(&mut self) -> Result<(), WalError>;
-    /// Atomically replace the snapshot blob.
-    fn write_snapshot(&mut self, bytes: &[u8]) -> Result<(), WalError>;
+    /// Atomically replace the snapshot blob with the concatenation of
+    /// `parts`.
+    fn write_snapshot(&mut self, parts: &[&[u8]]) -> Result<(), WalError>;
     /// Read the current snapshot blob, if one exists.
     fn read_snapshot(&mut self) -> Result<Option<Vec<u8>>, WalError>;
     /// Current log length in bytes.
@@ -96,11 +97,13 @@ impl WalStorage for FileStorage {
         self.truncate_log(0)
     }
 
-    fn write_snapshot(&mut self, bytes: &[u8]) -> Result<(), WalError> {
+    fn write_snapshot(&mut self, parts: &[&[u8]]) -> Result<(), WalError> {
         let tmp = self.dir.join(format!("{}.snap.tmp", self.name));
         {
             let mut f = File::create(&tmp)?;
-            f.write_all(bytes)?;
+            for part in parts {
+                f.write_all(part)?;
+            }
             f.sync_all()?;
         }
         std::fs::rename(&tmp, self.snap_path())?;
@@ -219,8 +222,8 @@ impl WalStorage for MemStorage {
         Ok(())
     }
 
-    fn write_snapshot(&mut self, bytes: &[u8]) -> Result<(), WalError> {
-        self.lock().snap = Some(bytes.to_vec());
+    fn write_snapshot(&mut self, parts: &[&[u8]]) -> Result<(), WalError> {
+        self.lock().snap = Some(parts.concat());
         Ok(())
     }
 
@@ -253,7 +256,7 @@ mod tests {
     fn mem_snapshot_roundtrip_and_reset() {
         let mut s = MemStorage::new();
         assert_eq!(s.read_snapshot().unwrap(), None);
-        s.write_snapshot(b"state").unwrap();
+        s.write_snapshot(&[b"st", b"ate"]).unwrap();
         s.append(b"tail").unwrap();
         s.reset_log().unwrap();
         assert_eq!(s.read_snapshot().unwrap().unwrap(), b"state");
@@ -268,7 +271,7 @@ mod tests {
             let mut s = FileStorage::open(&dir, "t").unwrap();
             s.append(b"abc").unwrap();
             s.sync().unwrap();
-            s.write_snapshot(b"snap").unwrap();
+            s.write_snapshot(&[b"snap"]).unwrap();
         }
         {
             let mut s = FileStorage::open(&dir, "t").unwrap();

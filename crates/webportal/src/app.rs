@@ -700,28 +700,23 @@ pub fn build_router(app: Arc<App>) -> Router {
                     ])
                 })
                 .collect();
-            let recovery = h
-                .recovery
-                .into_iter()
-                .map(|r| {
-                    Json::obj(vec![
-                        ("stream", Json::str(r.stream)),
-                        (
-                            "snapshot_lsn",
-                            r.snapshot_lsn
-                                .map(|l| Json::num(l as f64))
-                                .unwrap_or(Json::Null),
-                        ),
-                        ("snapshot_corrupt", Json::Bool(r.snapshot_corrupt)),
-                        ("records_replayed", Json::num(r.records_replayed as f64)),
-                        ("torn_bytes", Json::num(r.torn_bytes as f64)),
-                        ("corrupt_records", Json::num(r.corrupt_records as f64)),
-                        ("replay_errors", Json::num(r.replay_errors as f64)),
-                        ("last_lsn", Json::num(r.last_lsn as f64)),
-                        ("recovery_us", Json::num(r.wall_us as f64)),
-                    ])
-                })
-                .collect();
+            let recovery = h.recovery.map_or(Json::Null, |r| {
+                Json::obj(vec![
+                    (
+                        "snapshot_lsn",
+                        r.snapshot_lsn
+                            .map(|l| Json::num(l as f64))
+                            .unwrap_or(Json::Null),
+                    ),
+                    ("snapshot_corrupt", Json::Bool(r.snapshot_corrupt)),
+                    ("records_replayed", Json::num(r.records_replayed as f64)),
+                    ("torn_bytes", Json::num(r.torn_bytes as f64)),
+                    ("corrupt_records", Json::num(r.corrupt_records as f64)),
+                    ("replay_errors", Json::num(r.replay_errors as f64)),
+                    ("last_lsn", Json::num(r.last_lsn as f64)),
+                    ("recovery_us", Json::num(r.wall_us as f64)),
+                ])
+            });
             Response::json(
                 Status::OK,
                 &Json::obj(vec![
@@ -734,7 +729,7 @@ pub fn build_router(app: Arc<App>) -> Router {
                     ("jobs_running", Json::num(h.jobs_running as f64)),
                     ("open_connections", Json::num(open_connections as f64)),
                     ("durable", Json::Bool(h.durable)),
-                    ("recovery", Json::Arr(recovery)),
+                    ("recovery", recovery),
                     (
                         "wal_error",
                         h.wal_error.map(Json::str).unwrap_or(Json::Null),

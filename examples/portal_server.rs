@@ -33,16 +33,14 @@ fn main() {
         config.data_dir = Some(dir.into());
     }
     let mut portal = Portal::new(config);
-    if portal.durable() {
-        for r in portal.recovery_reports() {
-            println!(
-                "recovered {} log: {} records replayed in {}us (snapshot: {:?})",
-                r.stream, r.records_replayed, r.wall_us, r.snapshot_lsn
-            );
-        }
-        if let Some(e) = portal.wal_error() {
-            eprintln!("durability degraded: {e}");
-        }
+    if let Some(r) = portal.recovery_report() {
+        println!(
+            "recovered portal log: {} records replayed in {}us (snapshot: {:?})",
+            r.records_replayed, r.wall_us, r.snapshot_lsn
+        );
+    }
+    if let Some(e) = portal.wal_error() {
+        eprintln!("durability degraded: {e}");
     }
     portal
         .bootstrap_admin("admin", "change-me-please")

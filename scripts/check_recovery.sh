@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Crash-recovery smoke: boot a durable portal on a tempdir WAL, write a
-# marker file and submit a cluster job over HTTP, kill -9 the server (no
-# clean shutdown, no final flush), restart it on the same data dir, and
-# verify over HTTP that
+# marker file, submit a cluster job and upload more files than one snapshot
+# interval over HTTP, kill -9 the server (no clean shutdown, no final
+# flush), restart it on the same data dir, and verify over HTTP that
 #   1. the restarted portal reports durable=true with no WAL error,
-#   2. /api/health carries recovery reports with vfs AND sched records,
+#   2. /api/health carries the journal's recovery report, seeded from a
+#      snapshot and with a replayed tail,
 #   3. the marker file written before the crash reads back byte-identical,
+#      and so does the last uploaded file,
 #   4. the submitted job is still known to the recovered distributor.
 #
 # Usage: check_recovery.sh [port]    (default 8143)
@@ -14,12 +16,13 @@ set -euo pipefail
 port="${1:-8143}"
 base="http://127.0.0.1:$port"
 data="$(mktemp -d)"
+form="$(mktemp)"
 server_pid=""
 cleanup() {
     if [ -n "$server_pid" ]; then
         kill -9 "$server_pid" 2>/dev/null || true
     fi
-    rm -rf "$data"
+    rm -rf "$data" "$form"
 }
 trap cleanup EXIT
 
@@ -74,6 +77,18 @@ if [ -z "$job" ]; then
 fi
 curl -sf -X POST "$base/api/tick" -H "Cookie: sid=$tok" >/dev/null
 
+# One multipart upload of more files than the snapshot interval (1024
+# records), so the journal compacts and the restart recovers from a
+# snapshot plus a tail.
+uploads=1100
+for i in $(seq 1 "$uploads"); do
+    printf -- '--XYZ\r\nContent-Disposition: form-data; name="f"; filename="u%d.txt"\r\n\r\nupload %d\r\n' "$i" "$i"
+done >"$form"
+printf -- '--XYZ--\r\n' >>"$form"
+curl -sf -X POST "$base/api/upload" -H "Cookie: sid=$tok" \
+    -H "Content-Type: multipart/form-data; boundary=XYZ" \
+    --data-binary @"$form" >/dev/null
+
 # ---- crash: SIGKILL, so nothing gets a chance to flush or shut down ------
 kill -9 "$server_pid"
 wait "$server_pid" 2>/dev/null || true
@@ -93,18 +108,17 @@ if ! printf '%s' "$health" | grep -q '"wal_error":null'; then
     echo "FAIL: restarted portal reports a WAL error: $health" >&2
     exit 1
 fi
-# Keys inside each recovery object render alphabetically, so
-# records_replayed precedes stream within the same {...}.
-replayed="$(printf '%s' "$health" \
-    | sed -nE 's/.*"records_replayed":([0-9]+)[^}]*"stream":"vfs".*/\1/p')"
-if [ -z "$replayed" ] || [ "$replayed" -eq 0 ]; then
-    echo "FAIL: no vfs records replayed after restart: $health" >&2
+# The one recovery report: a snapshot LSN, and records replayed after it.
+snapshot_lsn="$(printf '%s' "$health" \
+    | sed -nE 's/.*"recovery":\{[^}]*"snapshot_lsn":([0-9]+).*/\1/p')"
+if [ -z "$snapshot_lsn" ]; then
+    echo "FAIL: recovery did not start from a snapshot: $health" >&2
     exit 1
 fi
-sched_replayed="$(printf '%s' "$health" \
-    | sed -nE 's/.*"records_replayed":([0-9]+)[^}]*"stream":"sched".*/\1/p')"
-if [ -z "$sched_replayed" ] || [ "$sched_replayed" -eq 0 ]; then
-    echo "FAIL: no sched records replayed after restart: $health" >&2
+replayed="$(printf '%s' "$health" \
+    | sed -nE 's/.*"recovery":\{[^}]*"records_replayed":([0-9]+).*/\1/p')"
+if [ -z "$replayed" ] || [ "$replayed" -eq 0 ]; then
+    echo "FAIL: no records replayed after the snapshot: $health" >&2
     exit 1
 fi
 
@@ -122,5 +136,10 @@ if [ "$got" != "$marker" ]; then
     echo "  read:  $got" >&2
     exit 1
 fi
+last="$(curl -sf "$base/api/file?path=u$uploads.txt" -H "Cookie: sid=$tok")"
+if [ "$last" != "upload $uploads" ]; then
+    echo "FAIL: last uploaded file did not survive the crash: '$last'" >&2
+    exit 1
+fi
 
-echo "OK: killed -9 and recovered; $replayed vfs + $sched_replayed sched records replayed, marker intact, job $job is '$job_state'"
+echo "OK: killed -9 and recovered from the snapshot at LSN $snapshot_lsn plus $replayed records, marker and uploads intact, job $job is '$job_state'"

@@ -9,12 +9,18 @@
 //! `last_lsn` recorded operations: the WAL assigns one LSN per logged op,
 //! densely from 1, so `ops[..last_lsn]` is precisely what a correct
 //! recovery must reproduce (byte-identical via `snapshot_bytes`).
+//!
+//! The per-substrate properties here drive one substrate's stream on a
+//! journal and compact it themselves; the portal's own compaction and
+//! recovery of both substrates over one journal is checked by the unit
+//! tests in `ccp_core`'s `portal::durable`, and end to end below.
 
 use ccp_core::{Portal, PortalConfig};
 use cluster::{Cluster, ClusterSpec, SlaveId};
-use sched::{JobId, JobSpec, RetryPolicy, SchedPolicyKind, SchedRecord, Scheduler};
+use sched::{JobId, JobSpec, JobState, RetryPolicy, SchedPolicyKind, SchedRecord, Scheduler};
+use std::sync::{Arc, Mutex};
 use vfs::{Vfs, VfsRecord};
-use wal::{FsyncPolicy, Journal, MemStorage};
+use wal::{FsyncPolicy, Journal, MemStorage, Recovered, Stream};
 
 /// Deterministic splitmix64 so the op script and crash point derive from
 /// the seed alone (no rand dependency, no flaky schedules).
@@ -38,6 +44,66 @@ impl Mix {
     }
 }
 
+/// A fresh journal over `storage`, shared the way the portal shares it.
+fn open_journal(storage: &MemStorage, fsync: FsyncPolicy, interval: u64) -> Arc<Mutex<Journal>> {
+    let (journal, recovered) =
+        Journal::open(Box::new(storage.clone()), fsync, interval).expect("open fresh log");
+    assert_eq!(recovered.report.records_replayed, 0, "fresh log is empty");
+    Arc::new(Mutex::new(journal))
+}
+
+/// Compact as a single-substrate owner would: snapshot `state` once the
+/// journal is due.
+fn compact_if_due(journal: &Mutex<Journal>, state: impl FnOnce() -> Vec<u8>) {
+    let mut j = journal.lock().unwrap();
+    if j.wants_snapshot() {
+        j.install_snapshot(&[&state()]).expect("snapshot");
+    }
+}
+
+/// `(last_lsn, durable_lsn)` of a journal.
+fn lsns(journal: &Mutex<Journal>) -> (u64, u64) {
+    let j = journal.lock().unwrap();
+    (j.last_lsn(), j.durable_lsn())
+}
+
+/// Reopen the journal over `storage`, as a boot after the crash does.
+fn reopen(storage: MemStorage) -> Recovered {
+    let (_, recovered) = Journal::open(Box::new(storage), FsyncPolicy::Always, 0)
+        .expect("recovery never errors on torn logs");
+    recovered
+}
+
+/// A filesystem rebuilt from what recovery handed back, and how many
+/// records failed to replay.
+fn recover_vfs(recovered: &Recovered) -> (Vfs, usize) {
+    let mut fs = match &recovered.snapshot {
+        Some(state) => Vfs::from_snapshot(state).expect("snapshot"),
+        None => Vfs::new(),
+    };
+    let errors = recovered
+        .records
+        .iter()
+        .filter(|(_, _, payload)| fs.replay(payload).is_err())
+        .count();
+    (fs, errors)
+}
+
+/// A fresh scheduler rebuilt from what recovery handed back, and how many
+/// records failed to replay.
+fn recover_sched(recovered: &Recovered) -> (Scheduler, usize) {
+    let mut s = fresh_sched();
+    if let Some(state) = &recovered.snapshot {
+        s.restore_snapshot(state).expect("snapshot");
+    }
+    let errors = recovered
+        .records
+        .iter()
+        .filter(|(_, _, payload)| s.replay(payload).is_err())
+        .count();
+    (s, errors)
+}
+
 // ---- vfs -----------------------------------------------------------------
 
 /// Drive a journaled Vfs through `steps` seeded operations, recording each
@@ -49,21 +115,22 @@ fn run_vfs_workload(
     fsync: FsyncPolicy,
     snapshot_interval: u64,
 ) -> (Vec<VfsRecord>, u64) {
-    let (journal, recovered) =
-        Journal::open(Box::new(storage), fsync, snapshot_interval).expect("open fresh log");
-    assert_eq!(recovered.report.records_replayed, 0, "fresh log is empty");
+    let journal = open_journal(&storage, fsync, snapshot_interval);
     let mut fs = Vfs::new();
-    fs.attach_journal(journal);
+    fs.attach_wal(Stream::new(Arc::clone(&journal), 0));
     let mut rng = Mix(seed);
     let mut ops: Vec<VfsRecord> = Vec::new();
-    let mut record = |ok: bool, rec: VfsRecord| {
+    let mut record = |fs: &Vfs, ok: bool, rec: VfsRecord| {
         if ok {
             ops.push(rec);
+            compact_if_due(&journal, || fs.snapshot_bytes());
         }
     };
 
+    let ok = fs.add_user("alice", 1 << 20).is_ok();
     record(
-        fs.add_user("alice", 1 << 20).is_ok(),
+        &fs,
+        ok,
         VfsRecord::AddUser {
             user: "alice".into(),
             quota: 1 << 20,
@@ -75,8 +142,10 @@ fn run_vfs_workload(
         match rng.below(6) {
             0 => {
                 let data = format!("write {i} by seed {seed}").into_bytes();
+                let ok = fs.write("alice", &file, data.clone()).is_ok();
                 record(
-                    fs.write("alice", &file, data.clone()).is_ok(),
+                    &fs,
+                    ok,
                     VfsRecord::Write {
                         user: "alice".into(),
                         path: file,
@@ -86,8 +155,10 @@ fn run_vfs_workload(
             }
             1 => {
                 let data = format!("+{i}").into_bytes();
+                let ok = fs.append("alice", &file, &data).is_ok();
                 record(
-                    fs.append("alice", &file, &data).is_ok(),
+                    &fs,
+                    ok,
                     VfsRecord::Append {
                         user: "alice".into(),
                         path: file,
@@ -95,24 +166,34 @@ fn run_vfs_workload(
                     },
                 );
             }
-            2 => record(
-                fs.mkdir_p("alice", &dir).is_ok(),
-                VfsRecord::MkdirP {
-                    user: "alice".into(),
-                    path: dir,
-                },
-            ),
-            3 => record(
-                fs.remove("alice", &file).is_ok(),
-                VfsRecord::Remove {
-                    user: "alice".into(),
-                    path: file,
-                },
-            ),
+            2 => {
+                let ok = fs.mkdir_p("alice", &dir).is_ok();
+                record(
+                    &fs,
+                    ok,
+                    VfsRecord::MkdirP {
+                        user: "alice".into(),
+                        path: dir,
+                    },
+                )
+            }
+            3 => {
+                let ok = fs.remove("alice", &file).is_ok();
+                record(
+                    &fs,
+                    ok,
+                    VfsRecord::Remove {
+                        user: "alice".into(),
+                        path: file,
+                    },
+                )
+            }
             4 => {
                 let to = format!("/home/alice/c{}.txt", rng.below(4));
+                let ok = fs.copy("alice", &file, &to).is_ok();
                 record(
-                    fs.copy("alice", &file, &to).is_ok(),
+                    &fs,
+                    ok,
                     VfsRecord::Copy {
                         user: "alice".into(),
                         from: file,
@@ -122,8 +203,10 @@ fn run_vfs_workload(
             }
             _ => {
                 let to = format!("/home/alice/r{}.txt", rng.below(4));
+                let ok = fs.rename("alice", &file, &to).is_ok();
                 record(
-                    fs.rename("alice", &file, &to).is_ok(),
+                    &fs,
+                    ok,
                     VfsRecord::Rename {
                         user: "alice".into(),
                         from: file,
@@ -133,12 +216,8 @@ fn run_vfs_workload(
             }
         }
     }
-    let durable = fs.wal_durable_lsn().unwrap_or(0);
-    assert_eq!(
-        fs.wal_last_lsn().unwrap_or(0),
-        ops.len() as u64,
-        "one LSN per successful op"
-    );
+    let (last, durable) = lsns(&journal);
+    assert_eq!(last, ops.len() as u64, "one LSN per successful op");
     (ops, durable)
 }
 
@@ -169,9 +248,12 @@ fn vfs_recovers_an_acked_prefix_from_any_crash_point() {
         let pending = storage.log_bytes() - storage.synced_bytes();
         storage.crash(rng.below(pending as u64 + 1) as usize);
 
-        let (_, recovered) = Journal::open(Box::new(storage), FsyncPolicy::Always, 0)
-            .expect("recovery never errors on torn logs");
-        let (fs, replay_errors) = Vfs::recover(&recovered).expect("replay");
+        let recovered = reopen(storage);
+        assert!(
+            recovered.report.snapshot_lsn.is_some(),
+            "seed {seed}: compaction never fired"
+        );
+        let (fs, replay_errors) = recover_vfs(&recovered);
         assert_eq!(replay_errors, 0, "seed {seed}: replay must be clean");
 
         let k = recovered.report.last_lsn;
@@ -199,9 +281,8 @@ fn vfs_corrupt_tail_recovers_clean_prefix() {
         // Bit-rot a byte two-thirds into the log: recovery must stop at the
         // first bad record and still hand back a valid prefix.
         storage.corrupt_byte(storage.log_bytes() * 2 / 3);
-        let (_, recovered) =
-            Journal::open(Box::new(storage), FsyncPolicy::Always, 0).expect("open survives rot");
-        let (fs, replay_errors) = Vfs::recover(&recovered).expect("replay");
+        let recovered = reopen(storage);
+        let (fs, replay_errors) = recover_vfs(&recovered);
         assert_eq!(replay_errors, 0);
         let k = recovered.report.last_lsn;
         assert!(
@@ -230,10 +311,9 @@ fn fresh_sched() -> Scheduler {
 /// Drive a journaled scheduler through `steps` seeded commands, mirroring
 /// each successful one as the record the WAL saw.
 fn run_sched_workload(storage: MemStorage, seed: u64, steps: u32) -> (Vec<SchedRecord>, u64) {
-    let (journal, _) =
-        Journal::open(Box::new(storage), FsyncPolicy::EveryN(1 + (seed % 4)), 24).expect("open");
+    let journal = open_journal(&storage, FsyncPolicy::EveryN(1 + (seed % 4)), 24);
     let mut s = fresh_sched();
-    s.attach_journal(journal);
+    s.attach_wal(Stream::new(Arc::clone(&journal), 1));
     let mut rng = Mix(seed.wrapping_mul(31).wrapping_add(7));
     let mut ops: Vec<SchedRecord> = Vec::new();
     let mut submitted: Vec<JobId> = Vec::new();
@@ -307,10 +387,14 @@ fn run_sched_workload(storage: MemStorage, seed: u64, steps: u32) -> (Vec<SchedR
                 ops.push(SchedRecord::Tick);
             }
         }
-        assert!(s.wal_error().is_none(), "WAL must not degrade in-memory");
+        compact_if_due(&journal, || s.snapshot_bytes());
+        assert!(
+            journal.lock().unwrap().error().is_none(),
+            "WAL must not degrade in-memory"
+        );
     }
-    let durable = s.wal_durable_lsn().unwrap_or(0);
-    assert_eq!(s.wal_last_lsn().unwrap_or(0), ops.len() as u64);
+    let (last, durable) = lsns(&journal);
+    assert_eq!(last, ops.len() as u64);
     (ops, durable)
 }
 
@@ -331,10 +415,8 @@ fn sched_recovers_an_acked_prefix_from_any_crash_point() {
         let pending = storage.log_bytes() - storage.synced_bytes();
         storage.crash(rng.below(pending as u64 + 1) as usize);
 
-        let (_, recovered) =
-            Journal::open(Box::new(storage), FsyncPolicy::Always, 0).expect("recovery");
-        let mut s = fresh_sched();
-        let replay_errors = s.recover(&recovered).expect("replay");
+        let recovered = reopen(storage);
+        let (s, replay_errors) = recover_sched(&recovered);
         assert_eq!(replay_errors, 0, "seed {seed}");
 
         let k = recovered.report.last_lsn;
@@ -348,18 +430,72 @@ fn sched_recovers_an_acked_prefix_from_any_crash_point() {
     }
 }
 
+// ---- one journal, both substrates ----------------------------------------
+
+#[test]
+fn a_crash_recovers_a_prefix_common_to_both_substrates() {
+    // Alice's home and a file, then 8 jobs, on one journal that group-
+    // commits every 8 records; then a power loss keeps no unsynced byte.
+    // With a journal per substrate, the jobs came back without the home.
+    let storage = MemStorage::new();
+    let journal = open_journal(&storage, FsyncPolicy::EveryN(8), 0);
+    let mut fs = Vfs::new();
+    fs.attach_wal(Stream::new(Arc::clone(&journal), 0));
+    let mut s = fresh_sched();
+    s.attach_wal(Stream::new(Arc::clone(&journal), 1));
+    fs.add_user("alice", 1 << 20).unwrap();
+    fs.write("alice", "/home/alice/a.mini", b"fn main() {}".to_vec())
+        .unwrap();
+    for i in 0..8 {
+        s.submit(JobSpec::sequential("alice", &format!("job{i}"), 5))
+            .unwrap();
+    }
+    drop((fs, s));
+    storage.crash(0);
+
+    let recovered = reopen(storage);
+    assert_eq!(recovered.report.last_lsn, 8, "the first group commit");
+    let mut fs = Vfs::new();
+    let mut s = fresh_sched();
+    for (_, tag, payload) in &recovered.records {
+        match tag {
+            0 => fs.replay(payload).unwrap(),
+            _ => s.replay(payload).unwrap(),
+        }
+    }
+    assert_eq!(s.jobs().count(), 6);
+    assert_eq!(
+        fs.read("alice", "/home/alice/a.mini").unwrap(),
+        b"fn main() {}"
+    );
+}
+
 // ---- whole portal --------------------------------------------------------
+
+fn durable_config(dir: &std::path::Path) -> PortalConfig {
+    PortalConfig {
+        cluster: ClusterSpec::small(2, 2),
+        data_dir: Some(dir.to_path_buf()),
+        wal_fsync: FsyncPolicy::Always,
+        ..PortalConfig::default()
+    }
+}
+
+/// The file names in `dir`, sorted.
+fn files_in(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
 
 #[test]
 fn portal_survives_a_restart_with_data_dir_set() {
     let dir = std::env::temp_dir().join(format!("ccp-wal-restart-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cfg = PortalConfig {
-        cluster: ClusterSpec::small(2, 2),
-        data_dir: Some(dir.clone()),
-        wal_fsync: FsyncPolicy::Always,
-        ..PortalConfig::default()
-    };
+    let cfg = durable_config(&dir);
 
     {
         let mut portal = Portal::new(cfg.clone());
@@ -380,10 +516,9 @@ fn portal_survives_a_restart_with_data_dir_set() {
         let h = portal.health_view();
         assert!(h.durable);
         assert!(h.wal_error.is_none());
-        assert_eq!(h.recovery.len(), 2, "one report per stream");
-        let vfs_rec = h.recovery.iter().find(|r| r.stream == "vfs").unwrap();
+        let rec = h.recovery.expect("one report for the one journal");
         assert!(
-            vfs_rec.records_replayed > 0 || vfs_rec.snapshot_lsn.is_some(),
+            rec.records_replayed > 0 || rec.snapshot_lsn.is_some(),
             "the first boot's writes must be visible to recovery"
         );
         // Credentials are not journaled; re-bootstrapping the admin must
@@ -400,22 +535,126 @@ fn portal_survives_a_restart_with_data_dir_set() {
 }
 
 #[test]
+fn file_traffic_alone_compacts_and_the_snapshot_restores_both_substrates() {
+    let dir = std::env::temp_dir().join(format!("ccp-wal-compact-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = PortalConfig {
+        wal_fsync: FsyncPolicy::EveryN(8),
+        ..durable_config(&dir)
+    };
+
+    let job = {
+        let mut portal = Portal::new(cfg.clone());
+        portal.bootstrap_admin("admin", "pw-123456").unwrap();
+        let tok = portal.login("admin", "pw-123456", 0).unwrap();
+        portal
+            .write_file(&tok, "p.mini", b"fn main() { println(7); }".to_vec(), 0)
+            .unwrap();
+        let art = portal.compile(&tok, "p.mini", 0).unwrap().artifact.unwrap();
+        let job = portal.submit_job(&tok, art.as_str(), 1, 5, 0).unwrap();
+        // More saves than one snapshot interval, and never a tick.
+        for i in 0..1100 {
+            portal
+                .write_file(&tok, &format!("f{i}.txt"), format!("{i}").into_bytes(), 0)
+                .unwrap();
+        }
+        job
+    };
+    assert_eq!(files_in(&dir), ["portal.snap", "portal.wal"]);
+
+    let mut portal = Portal::new(cfg);
+    let rec = portal.health_view().recovery.unwrap();
+    assert_eq!(rec.snapshot_lsn, Some(1024), "file saves alone compacted");
+    assert_eq!(rec.last_lsn, 1103);
+    assert_eq!(rec.records_replayed, 1103 - 1024);
+    assert_eq!((rec.corrupt_records, rec.replay_errors), (0, 0));
+    portal.bootstrap_admin("admin", "pw-123456").unwrap();
+    let tok = portal.login("admin", "pw-123456", 0).unwrap();
+    assert_eq!(portal.read_file(&tok, "f1099.txt", 0).unwrap(), b"1099");
+    assert_eq!(portal.read_file(&tok, "f0.txt", 0).unwrap(), b"0");
+    assert_eq!(
+        portal.scheduler_mut().job(job).unwrap().state,
+        JobState::Pending,
+        "the job submitted before the saves is in the snapshot"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_data_dir_in_the_retired_two_log_layout_is_refused() {
+    let dir = std::env::temp_dir().join(format!("ccp-wal-retired-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("vfs.wal"), b"").unwrap();
+
+    let portal = Portal::new(durable_config(&dir));
+    let h = portal.health_view();
+    assert!(!h.durable, "serves from memory");
+    assert!(h.recovery.is_none());
+    let err = h.wal_error.expect("the refusal is reported");
+    assert!(err.contains("vfs.wal"), "{err}");
+    assert_eq!(files_in(&dir), ["vfs.wal"], "nothing written beside it");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn double_recovery_is_idempotent() {
     let storage = MemStorage::new();
     let (ops, _) = run_sched_workload(storage.clone(), 5, 80);
     storage.crash(0);
-    let open = |st: MemStorage| Journal::open(Box::new(st), FsyncPolicy::Always, 0).expect("open");
 
     // First recovery (reopening truncates any torn tail in storage)...
-    let (_, rec1) = open(storage.clone());
-    let mut s1 = fresh_sched();
-    s1.recover(&rec1).expect("replay 1");
+    let rec1 = reopen(storage.clone());
+    let (s1, _) = recover_sched(&rec1);
     // ...then a second crash-before-any-writes and another recovery must
     // land on the same bytes: recovery changes nothing it doesn't have to.
-    let (_, rec2) = open(storage);
-    let mut s2 = fresh_sched();
-    s2.recover(&rec2).expect("replay 2");
+    let rec2 = reopen(storage);
+    let (s2, _) = recover_sched(&rec2);
     assert_eq!(rec1.report.last_lsn, rec2.report.last_lsn);
     assert_eq!(s1.snapshot_bytes(), s2.snapshot_bytes());
     assert!(rec1.report.last_lsn <= ops.len() as u64);
+}
+
+/// Prints EXPERIMENTS.md's "Crash recovery time vs log length" table:
+/// `cargo test --release --test wal_recovery -- --ignored --nocapture`.
+#[test]
+#[ignore = "prints a timing table; run by hand"]
+fn recovery_time_vs_log_length() {
+    println!("| saves | records replayed | snapshot LSN | on-disk bytes | recovery time |");
+    println!("|------:|-----------------:|-------------:|--------------:|--------------:|");
+    for saves in [1_000u32, 10_000, 100_000] {
+        let dir = std::env::temp_dir().join(format!("ccp-wal-timing-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = PortalConfig {
+            wal_fsync: FsyncPolicy::EveryN(8),
+            ..durable_config(&dir)
+        };
+        {
+            let mut portal = Portal::new(cfg.clone());
+            portal.bootstrap_admin("admin", "pw-123456").unwrap();
+            let tok = portal.login("admin", "pw-123456", 0).unwrap();
+            for i in 0..saves {
+                let data = format!("save {i} of a 64-file working set").into_bytes();
+                portal
+                    .write_file(&tok, &format!("f{}.txt", i % 64), data, 0)
+                    .unwrap();
+            }
+        }
+        let bytes: u64 = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().metadata().unwrap().len())
+            .sum();
+        let mut runs: Vec<_> = (0..3)
+            .map(|_| Portal::new(cfg.clone()).recovery_report().unwrap().clone())
+            .collect();
+        runs.sort_by_key(|r| r.wall_us);
+        let r = &runs[1];
+        println!(
+            "| {saves} | {} | {} | {bytes} | {:.1} ms |",
+            r.records_replayed,
+            r.snapshot_lsn.map_or("none".to_string(), |l| l.to_string()),
+            r.wall_us as f64 / 1000.0
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
