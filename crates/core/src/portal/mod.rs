@@ -174,7 +174,7 @@ impl Portal {
         let pool = Arc::new(checker::Pool::new(workers).with_obs(Arc::clone(&obs)));
         toolchain::cache::register_cache_metrics(&obs);
         durable::register_wal_metrics(&obs);
-        let store = TimeSeriesStore::new(TS_CAPACITY);
+        let store = TimeSeriesStore::new(TS_CAPACITY, &Portal::DASHBOARD_FAMILIES);
         let slo = SloEngine::new(default_slos(), &obs.metrics);
 
         let new_scheduler = || {

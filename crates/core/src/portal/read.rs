@@ -211,10 +211,25 @@ impl Portal {
             .collect()
     }
 
+    /// The families the time-series store captures each tick: every
+    /// series [`Portal::dashboard_view`] reads, which include every series
+    /// the default SLOs read. A series left out of the store reads `None`,
+    /// so an SLO over it would silently never breach.
+    pub(super) const DASHBOARD_FAMILIES: [&str; 8] = [
+        "ccp_sched_queue_depth",
+        "ccp_sched_jobs_running",
+        "ccp_sched_jobs_submitted_total",
+        "ccp_sched_jobs_completed_total",
+        "ccp_sched_jobs_dispatched_total",
+        "ccp_sched_jobs_node_lost_total",
+        "ccp_sched_job_wait_ticks",
+        "ccp_sched_job_run_ticks",
+    ];
+
     /// Dashboard snapshot for `/api/dashboard`: windowed queries over the
-    /// store, restricted to tick-domain series so the result is
-    /// byte-identical across same-seed runs. A fixed 32-tick window keeps
-    /// the panels comparable run to run.
+    /// store, which captures exactly the tick-domain families read here,
+    /// so the result is byte-identical across same-seed runs. A fixed
+    /// 32-tick window keeps the panels comparable run to run.
     pub fn dashboard_view(&self) -> DashboardView {
         use crate::view::{QuantilePanel, RatePanel};
         use obs::SampleValue;
@@ -382,5 +397,46 @@ fn job_view(j: &sched::JobRecord) -> JobView {
         last_failure: j.last_failure.clone(),
         stdout: j.streams.stdout.clone(),
         stderr: j.streams.stderr.clone(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::{default_slos, Portal, PortalConfig};
+    use obs::SloKind;
+
+    /// After one tick the store holds every dashboard family and every
+    /// series an SLO reads: an SLO naming a series the store does not
+    /// capture would read `None` and never breach. A family neither reads
+    /// stays out.
+    #[test]
+    fn one_tick_captures_every_series_the_dashboard_and_slos_read() {
+        let mut p = Portal::new(PortalConfig {
+            checker_threads: Some(1),
+            ..PortalConfig::default()
+        });
+        p.tick();
+        let store = p.store();
+        for family in Portal::DASHBOARD_FAMILIES {
+            assert!(store.latest(family, &[]).is_some(), "{family} not captured");
+        }
+        for slo in default_slos() {
+            let series = match &slo.kind {
+                SloKind::GaugeAbove { series, .. } | SloKind::QuantileAbove { series, .. } => {
+                    vec![series]
+                }
+                SloKind::ErrorRatio { bad, total, .. } => vec![bad, total],
+            };
+            for name in series {
+                assert!(
+                    store.latest(name, &[]).is_some(),
+                    "SLO {} reads {name}, which the store does not capture",
+                    slo.name
+                );
+            }
+        }
+        let evaluations = p.obs().metrics.counter("ccp_slo_evaluations_total", &[]);
+        assert_eq!(evaluations.get(), 1);
+        assert_eq!(store.latest("ccp_slo_evaluations_total", &[]), None);
     }
 }

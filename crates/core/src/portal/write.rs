@@ -268,9 +268,9 @@ impl Portal {
         }
     }
 
-    /// Capture the registry into the time-series store and evaluate the
-    /// SLOs, once per tick. Gauges are republished first so captures never
-    /// window over stale depth.
+    /// Capture the dashboard families into the time-series store and
+    /// evaluate the SLOs, once per tick. Gauges are republished first so
+    /// captures never window over stale depth.
     fn sample_metrics(&mut self, now_tick: u64) {
         self.scheduler.publish_gauges();
         let t0 = std::time::Instant::now();

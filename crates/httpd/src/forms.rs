@@ -156,20 +156,10 @@ pub fn multipart_boundary(content_type: &str) -> Option<String> {
 /// files", §IV). Tolerates both `\r\n` and bare `\n` line endings.
 pub fn parse_multipart(body: &[u8], boundary: &str) -> Vec<MultipartPart> {
     let delim = format!("--{boundary}");
+    let delim_bytes = delim.as_bytes();
     let mut parts = Vec::new();
     // Split on the delimiter; each chunk between delimiters is a part.
-    let body_str_safe = body; // raw bytes; search manually
-    let delim_bytes = delim.as_bytes();
-    let mut positions = Vec::new();
-    let mut i = 0;
-    while i + delim_bytes.len() <= body_str_safe.len() {
-        if &body_str_safe[i..i + delim_bytes.len()] == delim_bytes {
-            positions.push(i);
-            i += delim_bytes.len();
-        } else {
-            i += 1;
-        }
-    }
+    let positions = find_all(body, delim_bytes);
     for w in positions.windows(2) {
         let chunk = &body[w[0] + delim_bytes.len()..w[1]];
         // Terminal marker "--" means no more parts.
@@ -206,6 +196,44 @@ pub fn parse_multipart(body: &[u8], boundary: &str) -> Vec<MultipartPart> {
         });
     }
     parts
+}
+
+/// Start offsets of the non-overlapping occurrences of `needle` in `hay`,
+/// left to right, by a Knuth–Morris–Pratt scan: O(hay + needle). The
+/// boundary comes from the client's `Content-Type` and may be nearly as
+/// long as the 32 KiB head, so comparing the whole delimiter at every
+/// body offset would hold a worker for seconds on an 8 MiB body.
+fn find_all(hay: &[u8], needle: &[u8]) -> Vec<usize> {
+    // fail[k]: length of the longest proper prefix of `needle[..=k]` that
+    // is also its suffix.
+    let mut fail = vec![0; needle.len()];
+    let mut k = 0;
+    for i in 1..needle.len() {
+        while k > 0 && needle[i] != needle[k] {
+            k = fail[k - 1];
+        }
+        if needle[i] == needle[k] {
+            k += 1;
+        }
+        fail[i] = k;
+    }
+    let mut found = Vec::new();
+    // Bytes of `needle` matched so far.
+    let mut k = 0;
+    for (i, &c) in hay.iter().enumerate() {
+        while k > 0 && c != needle[k] {
+            k = fail[k - 1];
+        }
+        if c == needle[k] {
+            k += 1;
+        }
+        if k == needle.len() {
+            found.push(i + 1 - k);
+            // Non-overlapping: the next match starts past this one.
+            k = 0;
+        }
+    }
+    found
 }
 
 fn strip_leading_newline(b: &[u8]) -> &[u8] {
@@ -287,6 +315,46 @@ mod multipart_tests {
         let parts = parse_multipart(&body, "B");
         assert_eq!(parts.len(), 1);
         assert_eq!(parts[0].data, b"value");
+    }
+
+    /// Every haystack up to 10 bytes and every delimiter up to 4 bytes over
+    /// a two-letter alphabet, where self-overlapping delimiters and near
+    /// misses are the common case: the KMP scan finds exactly what a
+    /// compare-at-every-offset scan finds.
+    #[test]
+    fn delimiter_search_matches_a_naive_scan() {
+        fn naive(hay: &[u8], needle: &[u8]) -> Vec<usize> {
+            let mut found = Vec::new();
+            let mut i = 0;
+            while i + needle.len() <= hay.len() {
+                if &hay[i..i + needle.len()] == needle {
+                    found.push(i);
+                    i += needle.len();
+                } else {
+                    i += 1;
+                }
+            }
+            found
+        }
+        // Every word over {a, b} of at most `max` letters, shortest first.
+        let words = |max: usize| {
+            (0..=max).flat_map(|len| {
+                (0..1u32 << len).map(move |bits| {
+                    (0..len)
+                        .map(|j| if bits >> j & 1 == 1 { b'b' } else { b'a' })
+                        .collect::<Vec<u8>>()
+                })
+            })
+        };
+        for needle in words(4).skip(1) {
+            for hay in words(10) {
+                assert_eq!(
+                    find_all(&hay, &needle),
+                    naive(&hay, &needle),
+                    "{hay:?} {needle:?}"
+                );
+            }
+        }
     }
 
     #[test]

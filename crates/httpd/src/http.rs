@@ -344,9 +344,11 @@ impl Response {
 
     /// A JSON response with the given status.
     pub fn json(status: Status, value: &crate::json::Json) -> Response {
+        let mut body = String::new();
+        value.write_into(&mut body);
         Response::new(status)
             .with_header("Content-Type", "application/json")
-            .with_body(value.to_string().into_bytes())
+            .with_body(body.into_bytes())
     }
 
     /// 302 redirect.

@@ -3,9 +3,16 @@
 //! `serde_json` is not on the allowed dependency list, so the portal's API
 //! endpoints use this hand-rolled codec. Covers RFC 8259 minus `\u` escapes
 //! for non-BMP characters (the portal never emits them).
+//!
+//! Both directions are linear in the text: the parser copies each run of
+//! a string up to the next `"` or `\` with one `push_str`, and
+//! [`Json::write_into`] appends escaped text straight into the caller's
+//! buffer. Request bodies come from unauthenticated clients, so a parse
+//! that rescans the rest of the input per character would let one 8 MiB
+//! body hold a worker for minutes.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,6 +90,7 @@ impl Json {
     /// Parse JSON text, nested at most [`MAX_DEPTH`] arrays/objects deep.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = JsonParser {
+            text,
             b: text.as_bytes(),
             i: 0,
             depth: 0,
@@ -136,6 +144,8 @@ impl std::error::Error for JsonError {}
 pub const MAX_DEPTH: usize = 64;
 
 struct JsonParser<'a> {
+    text: &'a str,
+    /// `text` as bytes; `i` always sits on a char boundary of it.
     b: &'a [u8],
     i: usize,
     /// Arrays and objects currently open.
@@ -211,13 +221,22 @@ impl<'a> JsonParser<'a> {
         self.eat(b'"')?;
         let mut s = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one go.
+            // Both are ASCII, so the run ends on a char boundary.
+            let run = self.b[self.i..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\')
+                .unwrap_or(self.b.len() - self.i);
+            s.push_str(&self.text[self.i..self.i + run]);
+            self.i += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.i += 1;
                     return Ok(s);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // A backslash: decode one escape.
                     self.i += 1;
                     match self.peek() {
                         Some(b'n') => s.push('\n'),
@@ -245,14 +264,6 @@ impl<'a> JsonParser<'a> {
                         other => return Err(self.err(format!("bad escape {other:?}"))),
                     }
                     self.i += 1;
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = rest.chars().next().expect("nonempty");
-                    s.push(ch);
-                    self.i += ch.len_utf8();
                 }
             }
         }
@@ -344,60 +355,84 @@ impl<'a> JsonParser<'a> {
     }
 }
 
+/// Append `s` as a quoted JSON string. Plain runs go in with one
+/// `push_str`; every byte that needs an escape is ASCII, so each run ends
+/// on a char boundary.
 fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
+    out.push('"');
+    let mut plain = 0;
+    for (i, c) in s.bytes().enumerate() {
+        if c >= 0x20 && c != b'"' && c != b'\\' {
+            continue;
+        }
+        out.push_str(&s[plain..i]);
+        plain = i + 1;
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            _ => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(c >> 4)]));
+                out.push(char::from(HEX[usize::from(c & 0xf)]));
+            }
+        }
+    }
+    out.push_str(&s[plain..]);
+    out.push('"');
+}
+
+impl Json {
+    /// Append this value's JSON text to `out`: object keys in sorted
+    /// order, integral numbers below 9e15 without a fraction, control
+    /// characters other than `\n`, `\t` and `\r` as lowercase `\u00xx`.
+    pub fn write_into(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => {
+                // Writing into a `String` cannot fail.
+                let _ = if n.fract() == 0.0 && n.abs() < 9.0e15 {
+                    write!(out, "{}", *n as i64)
+                } else {
+                    write!(out, "{n}")
+                };
+            }
+            Json::Str(s) => escape_into(s, out),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    v.write_into(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(map) => {
+                out.push('{');
+                for (i, (k, v)) in map.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    escape_into(k, out);
+                    out.push(':');
+                    v.write_into(out);
+                }
+                out.push('}');
+            }
         }
     }
 }
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
-            }
-            Json::Str(s) => {
-                let mut out = String::with_capacity(s.len() + 2);
-                escape_into(s, &mut out);
-                write!(f, "\"{out}\"")
-            }
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(map) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    let mut out = String::new();
-                    escape_into(k, &mut out);
-                    write!(f, "\"{out}\":{v}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut out = String::new();
+        self.write_into(&mut out);
+        f.write_str(&out)
     }
 }
 
@@ -500,6 +535,85 @@ mod tests {
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::Null.get("x"), None);
         assert_eq!(Json::Bool(true).as_str(), None);
+    }
+
+    /// Bytes recorded from the encoder this one replaced: every escape
+    /// class (`\u{7f}` and non-ASCII pass through raw), integral,
+    /// fractional and negative numbers on both sides of the 9e15
+    /// integer cut-off, nesting, and sorted keys — escaped keys included.
+    #[test]
+    fn encoder_bytes_are_pinned() {
+        let v = Json::obj(vec![
+            (
+                "z",
+                Json::Arr(vec![Json::Null, Json::Bool(true), Json::Bool(false)]),
+            ),
+            (
+                "esc",
+                Json::str("q\" b\\ s/ n\n t\t r\r 0\u{0} 8\u{8} c\u{c} 1f\u{1f} 7f\u{7f} é ☃ 𝄞"),
+            ),
+            (
+                "nums",
+                Json::Arr(vec![
+                    Json::num(0),
+                    Json::num(-0.0),
+                    Json::num(42),
+                    Json::num(-17),
+                    Json::num(3.5),
+                    Json::num(-0.25),
+                    Json::num(1e-7),
+                    Json::num(8_999_999_999_999_998.0),
+                    Json::num(9e15),
+                    Json::num(-9e15),
+                    Json::num(1e21),
+                ]),
+            ),
+            (
+                "nested",
+                Json::obj(vec![
+                    ("b", Json::Arr(vec![Json::obj(vec![]), Json::Arr(vec![])])),
+                    ("a", Json::obj(vec![("k", Json::str(""))])),
+                ]),
+            ),
+            ("key \"q\"\n", Json::num(1)),
+            ("A", Json::num(2)),
+            ("", Json::Null),
+        ]);
+        let pinned = concat!(
+            r#"{"":null,"A":2,"esc":"q\" b\\ s/ n\n t\t r\r 0\u0000 8\u0008 c\u000c 1f\u001f 7f"#,
+            "\u{7f}",
+            r#" é ☃ 𝄞","key \"q\"\n":1,"nested":{"a":{"k":""},"b":[{},[]]},"#,
+            r#""nums":[0,0,42,-17,3.5,-0.25,0.0000001,8999999999999998,9000000000000000,"#,
+            r#"-9000000000000000,1000000000000000000000],"z":[null,true,false]}"#,
+        );
+        assert_eq!(v.to_string(), pinned);
+        let mut out = String::from("head:");
+        v.write_into(&mut out);
+        assert_eq!(out, format!("head:{pinned}"), "write_into appends");
+        let resp = crate::http::Response::json(crate::http::Status::OK, &v);
+        assert_eq!(resp.body, pinned.as_bytes());
+        assert_eq!(Json::parse(pinned).unwrap(), v);
+    }
+
+    /// A string far longer than any the portal emits parses in one pass;
+    /// a parser that rescans the rest of the input per character takes
+    /// seconds on 512 KiB.
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let body = "é".repeat(1 << 20);
+        let text = Json::str(body.clone()).to_string();
+        let t0 = std::time::Instant::now();
+        assert_eq!(Json::parse(&text).unwrap().as_str(), Some(body.as_str()));
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(5),
+            "{:?}",
+            t0.elapsed()
+        );
+        let err = Json::parse(&text[..text.len() - 1]).unwrap_err();
+        assert_eq!(
+            (err.at, err.message.as_str()),
+            (text.len() - 1, "unterminated string")
+        );
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!
 //! On top of the instruments sit the continuous-observability pieces:
 //!
-//! - [`TimeSeriesStore`] — a bounded ring of periodic registry captures
-//!   keyed by the logical clock, with windowed delta/rate/quantile queries;
+//! - [`TimeSeriesStore`] — a bounded ring of periodic captures of the
+//!   registry families its readers query, keyed by the logical clock,
+//!   with windowed delta/rate/quantile queries;
 //! - [`SloEngine`] — declarative objectives evaluated over the store with
 //!   multi-window burn-rate alerting;
 //! - [`Profiler`] — wall-clock lock-wait and slow-op timing for the hot

@@ -340,16 +340,18 @@ impl MetricsRegistry {
         self.read().values().map(|f| f.series.len()).sum()
     }
 
-    /// Numeric capture of every registered series, in the same fully
-    /// ordered (family name, then sorted labels) sequence [`render`] uses,
-    /// so two captures of identical registries compare equal element-wise.
+    /// Numeric capture of every series of the named families, family by
+    /// family in the order given and each family's series by sorted
+    /// labels, so two captures of identical registries compare equal
+    /// element-wise. Names with no registered family contribute nothing.
     /// This is what the time-series store ingests each portal tick.
-    ///
-    /// [`render`]: MetricsRegistry::render
-    pub fn sample(&self) -> Vec<SeriesSample> {
+    pub fn sample<S: AsRef<str>>(&self, families: &[S]) -> Vec<SeriesSample> {
         let fams = self.read();
         let mut out = Vec::new();
-        for (name, fam) in fams.iter() {
+        for name in families {
+            let Some((name, fam)) = fams.get_key_value(name.as_ref()) else {
+                continue;
+            };
             for (labels, metric) in fam.series.iter() {
                 let value = match metric {
                     Metric::Counter(c) => SampleValue::Counter(c.get()),
@@ -577,9 +579,11 @@ mod tests {
         reg.counter("ccp_z_total", &[]).add(3);
         reg.gauge("ccp_a_depth", &[("q", "x")]).set(-2);
         reg.histogram("ccp_m_us", &[], &[1]).record(9);
-        let s = reg.sample();
+        reg.counter("ccp_unsampled_total", &[]).inc();
+        let s = reg.sample(&["ccp_a_depth", "ccp_m_us", "ccp_missing", "ccp_z_total"]);
         let names: Vec<&str> = s.iter().map(|x| x.name.as_str()).collect();
-        // BTreeMap order, same as render().
+        // The named families in the order given; unnamed and unregistered
+        // ones contribute nothing.
         assert_eq!(names, vec!["ccp_a_depth", "ccp_m_us", "ccp_z_total"]);
         assert_eq!(s[0].labels, vec![("q".to_string(), "x".to_string())]);
         assert_eq!(s[0].value, SampleValue::Gauge(-2));

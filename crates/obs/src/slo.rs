@@ -236,7 +236,7 @@ mod tests {
     fn fires_on_both_windows_and_clears_on_neither() {
         let reg = MetricsRegistry::new();
         let g = reg.gauge("ccp_t_depth", &[]);
-        let store = TimeSeriesStore::new(32);
+        let store = TimeSeriesStore::new(32, &["ccp_t_depth"]);
         let events = EventLog::new(32);
         let mut engine = SloEngine::new(vec![depth_slo()], &reg);
 
@@ -294,7 +294,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         let bad = reg.counter("ccp_t_bad_total", &[]);
         let total = reg.counter("ccp_t_all_total", &[]);
-        let store = TimeSeriesStore::new(32);
+        let store = TimeSeriesStore::new(32, &["ccp_t_bad_total", "ccp_t_all_total"]);
         let events = EventLog::new(32);
         let spec = SloSpec {
             name: "loss".into(),
@@ -327,7 +327,7 @@ mod tests {
     fn quantile_above_breaches_on_overflow_infinity() {
         let reg = MetricsRegistry::new();
         let h = reg.histogram("ccp_t_us", &[], &[10, 100]);
-        let store = TimeSeriesStore::new(32);
+        let store = TimeSeriesStore::new(32, &["ccp_t_us"]);
         let events = EventLog::new(32);
         let spec = SloSpec {
             name: "latency".into(),

@@ -39,8 +39,6 @@ const SNAP_VERSION: u32 = 1;
 pub enum WalError {
     /// Underlying storage failed (message carries the OS error).
     Io(String),
-    /// Stored bytes did not parse as a valid record stream.
-    Corrupt(&'static str),
     /// A payload of this many bytes would frame past the record limit
     /// that recovery enforces; nothing was written.
     TooLarge(u64),
@@ -50,7 +48,6 @@ impl fmt::Display for WalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             WalError::Io(m) => write!(f, "wal i/o error: {m}"),
-            WalError::Corrupt(m) => write!(f, "wal corruption: {m}"),
             WalError::TooLarge(n) => write!(f, "wal record too large: {n} payload bytes"),
         }
     }
@@ -707,9 +704,6 @@ mod tests {
         }
         fn read_snapshot(&mut self) -> Result<Option<Vec<u8>>, WalError> {
             self.0.read_snapshot()
-        }
-        fn log_len(&self) -> Result<u64, WalError> {
-            self.0.log_len()
         }
     }
 

@@ -32,8 +32,6 @@ pub trait WalStorage: std::fmt::Debug + Send + Sync {
     fn write_snapshot(&mut self, parts: &[&[u8]]) -> Result<(), WalError>;
     /// Read the current snapshot blob, if one exists.
     fn read_snapshot(&mut self) -> Result<Option<Vec<u8>>, WalError>;
-    /// Current log length in bytes.
-    fn log_len(&self) -> Result<u64, WalError>;
 }
 
 // ---- production backend: real files ------------------------------------
@@ -120,10 +118,6 @@ impl WalStorage for FileStorage {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e.into()),
         }
-    }
-
-    fn log_len(&self) -> Result<u64, WalError> {
-        Ok(std::fs::metadata(self.log_path())?.len())
     }
 }
 
@@ -230,10 +224,6 @@ impl WalStorage for MemStorage {
     fn read_snapshot(&mut self) -> Result<Option<Vec<u8>>, WalError> {
         Ok(self.lock().snap.clone())
     }
-
-    fn log_len(&self) -> Result<u64, WalError> {
-        Ok(self.lock().log.len() as u64)
-    }
 }
 
 #[cfg(test)]
@@ -260,7 +250,7 @@ mod tests {
         s.append(b"tail").unwrap();
         s.reset_log().unwrap();
         assert_eq!(s.read_snapshot().unwrap().unwrap(), b"state");
-        assert_eq!(s.log_len().unwrap(), 0);
+        assert_eq!(s.log_bytes(), 0);
     }
 
     #[test]
@@ -280,7 +270,7 @@ mod tests {
             s.truncate_log(1).unwrap();
             assert_eq!(s.read_log().unwrap(), b"a");
             s.reset_log().unwrap();
-            assert_eq!(s.log_len().unwrap(), 0);
+            assert!(s.read_log().unwrap().is_empty());
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -193,8 +193,8 @@ fn chaos_runs_are_deterministic_per_seed() {
 }
 
 /// The chaos workload with the continuous-observability pipeline attached:
-/// per-tick registry captures into a [`TimeSeriesStore`] and a queue-depth
-/// burn-rate SLO evaluated over them. Returns the `(tick, kind)` alert
+/// per-tick captures of the queue-depth gauge into a [`TimeSeriesStore`]
+/// and a burn-rate SLO evaluated over them. Returns the `(tick, kind)` alert
 /// transition history.
 fn run_chaos_slo(seed: u64) -> Vec<(u64, String)> {
     let cluster = Cluster::new(ClusterSpec::small(2, 4));
@@ -206,7 +206,7 @@ fn run_chaos_slo(seed: u64) -> Vec<(u64, String)> {
         .with_retry(RetryPolicy::default())
         .with_retry_seed(seed)
         .with_fault_plan(plan);
-    let store = TimeSeriesStore::new(MAX_TICKS as usize);
+    let store = TimeSeriesStore::new(MAX_TICKS as usize, &["ccp_sched_queue_depth"]);
     // A deliberately tight objective: the chaos backlog breaches it
     // mid-run, and the drained queue at the end clears it.
     let mut engine = SloEngine::new(

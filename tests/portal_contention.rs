@@ -12,10 +12,14 @@
 //!   lets the result land (logout after commit) or drops it with a 401
 //!   (logout before commit) — never a panic, never a corrupted portal;
 //! * no fatal request: a hostile body to an unauthenticated route gets a
-//!   4xx and the portal keeps serving.
+//!   4xx and the portal keeps serving;
+//! * no stalled worker: a body shaped to make a parser superlinear — one
+//!   JSON string filling `MAX_BODY`, or a multipart body scanned for a
+//!   30 KiB boundary — is answered within seconds.
 
 use ccp_core::{Portal, PortalConfig};
 use cluster::ClusterSpec;
+use httpd::http::MAX_BODY;
 use httpd::json::Json;
 use httpd::{Engine, ServerConfig};
 use std::io::{Read, Write};
@@ -66,12 +70,19 @@ impl Client {
     /// One request/response exchange; reconnects once on a dropped socket
     /// (keep-alive limits are server policy, not a test failure).
     fn call(&mut self, method: &str, path: &str, token: Option<&str>, body: &[u8]) -> (u16, Json) {
-        match self.try_call(method, path, token, body) {
+        let cookie = token.map(|t| format!("Cookie: sid={t}\r\n"));
+        self.call_with(method, path, cookie.as_deref().unwrap_or(""), body)
+    }
+
+    /// [`Client::call`] with `headers`, complete `Name: value\r\n` lines,
+    /// sent verbatim.
+    fn call_with(&mut self, method: &str, path: &str, headers: &str, body: &[u8]) -> (u16, Json) {
+        match self.try_call(method, path, headers, body) {
             Ok(r) => r,
             Err(_) => {
                 self.stream = TcpStream::connect(self.addr).expect("reconnect portal");
                 self.stream.set_nodelay(true).unwrap();
-                self.try_call(method, path, token, body)
+                self.try_call(method, path, headers, body)
                     .expect("retried call")
             }
         }
@@ -81,18 +92,14 @@ impl Client {
         &mut self,
         method: &str,
         path: &str,
-        token: Option<&str>,
+        headers: &str,
         body: &[u8],
     ) -> std::io::Result<(u16, Json)> {
-        let mut head = format!(
+        let head = format!(
             "{method} {path} HTTP/1.1\r\nHost: portal\r\nConnection: keep-alive\r\n\
-             Content-Length: {}\r\n",
+             Content-Length: {}\r\n{headers}\r\n",
             body.len()
         );
-        if let Some(t) = token {
-            head.push_str(&format!("Cookie: sid={t}\r\n"));
-        }
-        head.push_str("\r\n");
         let mut req = head.into_bytes();
         req.extend_from_slice(body);
         self.stream.write_all(&req)?;
@@ -289,14 +296,18 @@ fn count_nonterminal(jobs: &Json) -> usize {
 /// Wrap an engine run in a watchdog so a deadlock fails fast instead of
 /// hanging the suite.
 fn with_watchdog(name: &'static str, f: impl FnOnce() + Send + 'static) {
+    with_deadline(name, WATCHDOG, f);
+}
+
+/// Run `f`, failing if it has not finished within `limit`.
+fn with_deadline(name: &'static str, limit: Duration, f: impl FnOnce() + Send + 'static) {
     let (tx, rx) = mpsc::channel();
     let t = std::thread::spawn(move || {
         f();
         let _ = tx.send(());
     });
-    rx.recv_timeout(WATCHDOG).unwrap_or_else(|_| {
-        panic!("{name}: deadlock or stall — watchdog fired after {WATCHDOG:?}")
-    });
+    rx.recv_timeout(limit)
+        .unwrap_or_else(|_| panic!("{name}: deadlock or stall — watchdog fired after {limit:?}"));
     t.join().expect("watchdogged test body");
 }
 
@@ -321,6 +332,55 @@ fn nested_json_body_gets_400_and_the_portal_keeps_serving() {
             let mut c = Client::connect(handle.addr());
             let (status, body) = c.call("POST", "/api/login", None, &vec![b'['; 1 << 20]);
             assert_eq!(status, 400, "{engine:?}: {body:?}");
+            let (status, body) = c.call("GET", "/api/health", None, b"");
+            assert_eq!(status, 200, "{engine:?}: {body:?}");
+            handle.shutdown();
+        }
+    });
+}
+
+/// An unauthenticated login whose password is one JSON string filling
+/// `MAX_BODY`: the parser copies the string in one pass and the unknown
+/// user gets a 401 on both engines within 10 s. A parser that rescans the
+/// rest of the input per character holds a worker for about 20 minutes.
+#[test]
+fn max_body_json_string_gets_401_within_seconds() {
+    with_deadline("max-body json string", Duration::from_secs(10), || {
+        let mut login = br#"{"user":"nobody","password":""#.to_vec();
+        login.resize(MAX_BODY - 2, b'a');
+        login.extend_from_slice(br#""}"#);
+        for engine in [Engine::Reactor, Engine::Threads] {
+            let (handle, _) = serve(engine);
+            let mut c = Client::connect(handle.addr());
+            let (status, body) = c.call("POST", "/api/login", None, &login);
+            assert_eq!(status, 401, "{engine:?}: {body:?}");
+            let (status, body) = c.call("GET", "/api/health", None, b"");
+            assert_eq!(status, 200, "{engine:?}: {body:?}");
+            handle.shutdown();
+        }
+    });
+}
+
+/// An 8 MiB upload of `-` against a ~30 KiB `-…-x` boundary, behind any
+/// `sid` cookie (the route checks only that one is present before it
+/// parses): the delimiter search is linear, so both engines answer within
+/// 5 s. Comparing the whole delimiter at every body offset takes about
+/// 7 s per request in a release build.
+#[test]
+fn long_multipart_boundary_is_answered_within_seconds() {
+    with_deadline("long multipart boundary", Duration::from_secs(5), || {
+        let boundary = format!("{}x", "-".repeat(30 << 10));
+        let headers = format!(
+            "Cookie: sid=not-a-session\r\nContent-Type: multipart/form-data; boundary={boundary}\r\n"
+        );
+        let upload = vec![b'-'; MAX_BODY];
+        for engine in [Engine::Reactor, Engine::Threads] {
+            let (handle, _) = serve(engine);
+            let mut c = Client::connect(handle.addr());
+            let (status, body) = c.call_with("POST", "/api/upload", &headers, &upload);
+            // No delimiter occurs, so no part is found and nothing saved.
+            assert_eq!(status, 201, "{engine:?}: {body:?}");
+            assert_eq!(body.get("saved"), Some(&Json::Arr(vec![])), "{engine:?}");
             let (status, body) = c.call("GET", "/api/health", None, b"");
             assert_eq!(status, 200, "{engine:?}: {body:?}");
             handle.shutdown();

@@ -273,6 +273,67 @@ fn json_string_roundtrip() {
     }
 }
 
+/// Characters that exercise every branch of the JSON string codec: the
+/// short escapes, the `\u00xx` control characters, `\u{7f}`, two- to
+/// four-byte UTF-8 and plain ASCII.
+const JSON_CHARS: &[char] = &[
+    'a', 'Z', '7', ' ', '"', '\\', '/', '\n', '\t', '\r', '\u{0}', '\u{8}', '\u{c}', '\u{1f}',
+    '\u{7f}', 'é', '☃', '𝄞',
+];
+
+/// A random JSON value at most four levels deep: nested arrays and
+/// objects, finite numbers, and strings and keys drawn from
+/// [`JSON_CHARS`].
+fn json_value(rng: &mut SplitMix64, depth: u32) -> httpd::Json {
+    use httpd::Json;
+    let string = |rng: &mut SplitMix64| -> String {
+        let n = rng.gen_range(0..9usize);
+        (0..n)
+            .map(|_| JSON_CHARS[rng.gen_range(0..JSON_CHARS.len())])
+            .collect()
+    };
+    let kind = if depth >= 4 {
+        rng.gen_range(0..4usize)
+    } else {
+        rng.gen_range(0..6usize)
+    };
+    match kind {
+        0 => Json::Null,
+        1 => Json::Bool(rng.gen_bool(0.5)),
+        2 => Json::num(if rng.gen_bool(0.5) {
+            rng.gen_range(-1_000_000_000i64..=1_000_000_000) as f64
+        } else {
+            rng.gen_range(-1e9..1e9)
+        }),
+        3 => Json::Str(string(rng)),
+        4 => Json::Arr(
+            (0..rng.gen_range(0..5usize))
+                .map(|_| json_value(rng, depth + 1))
+                .collect(),
+        ),
+        _ => Json::Obj(
+            (0..rng.gen_range(0..5usize))
+                .map(|_| (string(rng), json_value(rng, depth + 1)))
+                .collect(),
+        ),
+    }
+}
+
+/// JSON round-trips nested values, control characters and non-ASCII in
+/// strings and keys included, and re-encoding a parsed value gives the
+/// same text.
+#[test]
+fn json_nested_roundtrip() {
+    let mut rng = SplitMix64::new(16);
+    for _ in 0..512 {
+        let v = json_value(&mut rng, 0);
+        let text = v.to_string();
+        let parsed = httpd::Json::parse(&text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+        assert_eq!(parsed, v, "{text:?}");
+        assert_eq!(parsed.to_string(), text);
+    }
+}
+
 // ---- checker ---------------------------------------------------------------
 
 /// The interleaving checker is total over arbitrary small concurrent
