@@ -92,7 +92,9 @@ pub struct RaceDetector {
     chan_vc: HashMap<usize, VecDeque<VectorClock>>,
     atomic_vc: HashMap<MemLoc, VectorClock>,
     last_write: HashMap<MemLoc, (usize, u64, AccessKind)>,
-    reads: HashMap<MemLoc, HashMap<usize, u64>>,
+    /// Per location, each reader's epoch since the last write, sorted by
+    /// thread id so a race report names the lowest racing reader.
+    reads: HashMap<MemLoc, Vec<(usize, u64)>>,
 }
 
 impl RaceDetector {
@@ -148,7 +150,7 @@ impl RaceDetector {
 
     fn check_read_set(&self, t: usize, loc: MemLoc, second: AccessKind) -> Option<Race> {
         let rs = self.reads.get(&loc)?;
-        for (&rt, &rc) in rs {
+        for &(rt, rc) in rs {
             if rt != t && self.clocks[t].get(rt) < rc {
                 return Some(Race {
                     loc,
@@ -169,7 +171,11 @@ impl RaceDetector {
                     return Some(race);
                 }
                 let epoch = self.clocks[tid].get(tid);
-                self.reads.entry(loc).or_default().insert(tid, epoch);
+                let rs = self.reads.entry(loc).or_default();
+                match rs.binary_search_by_key(&tid, |&(rt, _)| rt) {
+                    Ok(i) => rs[i].1 = epoch,
+                    Err(i) => rs.insert(i, (tid, epoch)),
+                }
             }
             VmEvent::Write { tid, loc } => {
                 self.touch(tid);
@@ -375,6 +381,20 @@ mod tests {
             d.observe(&VmEvent::Write { tid: 1, loc: g(5) }).is_none(),
             "message edge"
         );
+    }
+
+    #[test]
+    fn a_write_racing_many_reads_names_the_lowest_reader() {
+        let mut d = RaceDetector::new();
+        for child in 1..=4 {
+            d.observe(&VmEvent::Spawned { parent: 0, child });
+        }
+        for tid in [3, 1, 2] {
+            assert!(d.observe(&VmEvent::Read { tid, loc: g(4) }).is_none());
+        }
+        let race = d.observe(&VmEvent::Write { tid: 4, loc: g(4) }).unwrap();
+        assert_eq!(race.first, (1, AccessKind::Read));
+        assert_eq!(race.second, (4, AccessKind::Write));
     }
 
     #[test]

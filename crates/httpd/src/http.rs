@@ -157,6 +157,11 @@ impl std::error::Error for HttpError {}
 /// Maximum accepted body (uploads included): 8 MiB.
 pub const MAX_BODY: usize = 8 << 20;
 
+/// The interim response to `Expect: 100-continue`: the client may send
+/// its body. Written raw, since a 1xx response carries no
+/// `Content-Length` (see [`Request::awaits_continue`]).
+pub const CONTINUE: &[u8] = b"HTTP/1.1 100 Continue\r\n\r\n";
+
 /// Maximum accepted head (request line + headers): 32 KiB.
 /// [`Request::parse_bytes`] enforces it, so a client can never make either
 /// engine buffer an endless head; the read deadline bounds how long it
@@ -173,6 +178,38 @@ impl Request {
     /// request line or header fails on its first complete line, and an
     /// oversized `Content-Length` fails before any body byte is buffered.
     pub fn parse_bytes(buf: &[u8], max_body: usize) -> Result<Option<(Request, usize)>, HttpError> {
+        let Some((mut req, head_len, body_len)) = Request::parse_head(buf, max_body)? else {
+            return Ok(None);
+        };
+        let Some(body) = buf.get(head_len..head_len + body_len) else {
+            return Ok(None);
+        };
+        req.body = body.to_vec();
+        Ok(Some((req, head_len + body_len)))
+    }
+
+    /// Whether the client that sent `buf` waits for a [`CONTINUE`] before
+    /// it sends the body: the head is whole, carries
+    /// `Expect: 100-continue` and declares a body within `max_body` that
+    /// has not all arrived.
+    pub fn awaits_continue(buf: &[u8], max_body: usize) -> bool {
+        matches!(
+            Request::parse_head(buf, max_body),
+            Ok(Some((req, head_len, body_len)))
+                if buf.len() - head_len < body_len
+                    && req
+                        .header("expect")
+                        .is_some_and(|v| v.eq_ignore_ascii_case("100-continue"))
+        )
+    }
+
+    /// The head at the start of `buf`: the request without its body, the
+    /// head's length and the declared body length, or `Ok(None)` while
+    /// the head is incomplete.
+    fn parse_head(
+        buf: &[u8],
+        max_body: usize,
+    ) -> Result<Option<(Request, usize, usize)>, HttpError> {
         fn take_line<'a>(buf: &'a [u8], pos: &mut usize) -> Result<Option<&'a str>, HttpError> {
             match buf[*pos..].iter().position(|&b| b == b'\n') {
                 Some(nl) => {
@@ -239,20 +276,17 @@ impl Request {
             }
             None => 0,
         };
-        if buf.len() - pos < body_len {
-            return Ok(None);
-        }
-        let body = buf[pos..pos + body_len].to_vec();
         Ok(Some((
             Request {
                 method,
                 path,
                 query,
                 headers,
-                body,
+                body: Vec::new(),
                 params: BTreeMap::new(),
             },
-            pos + body_len,
+            pos,
+            body_len,
         )))
     }
 
@@ -574,6 +608,28 @@ mod tests {
         let mut big = b"GET / HTTP/1.1\r\n".to_vec();
         big.extend(std::iter::repeat_n(b'x', MAX_HEAD + 2));
         assert!(Request::parse_bytes(&big, MAX_BODY).is_err());
+    }
+
+    #[test]
+    fn continue_is_awaited_only_for_a_whole_head_with_body_missing() {
+        let raw = b"POST / HTTP/1.1\r\nExpect: 100-Continue\r\nContent-Length: 4\r\n\r\nab";
+        let head = raw.len() - 2;
+        assert!(
+            !Request::awaits_continue(&raw[..head - 1], MAX_BODY),
+            "head cut"
+        );
+        assert!(Request::awaits_continue(&raw[..head], MAX_BODY));
+        assert!(Request::awaits_continue(raw, MAX_BODY), "half the body");
+        assert!(
+            !Request::awaits_continue(
+                b"POST / HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 4\r\n\r\nabcd",
+                MAX_BODY
+            ),
+            "body whole"
+        );
+        assert!(!Request::awaits_continue(&raw[..head], 3), "413 instead");
+        let plain = b"POST / HTTP/1.1\r\nContent-Length: 4\r\n\r\n";
+        assert!(!Request::awaits_continue(plain, MAX_BODY), "nobody asked");
     }
 
     #[test]

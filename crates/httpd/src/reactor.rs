@@ -1,49 +1,66 @@
 //! The epoll reactor + M:N green-task engine.
 //!
-//! One reactor thread multiplexes every connection over a single
-//! [`Epoll`] instance; a small fixed pool of workers runs connection
-//! *tasks* — plain state machines boxed in a slab — whenever readiness
-//! (or a deadline) makes progress possible. A connection costs a slab
-//! slot and two byte buffers instead of an OS thread and its stack,
-//! which is what moves the capacity ceiling from "hundreds of threads"
-//! to "as many sockets as the fd limit allows".
+//! A small fixed pool of workers runs connection *tasks* — plain state
+//! machines boxed in a slab. Every worker blocks in `epoll_wait` on one
+//! shared connection [`Epoll`], so the thread the kernel wakes for a
+//! readable socket is the thread that serves it: one wake-up per
+//! request. A connection costs a slab slot and two byte buffers instead
+//! of an OS thread and its stack, which is what moves the capacity
+//! ceiling from "hundreds of threads" to "as many sockets as the fd
+//! limit allows". A lean reactor thread keeps, on an epoll of its own,
+//! what must not wait for a free worker: the listener (accept and shed),
+//! the shutdown [`Waker`] and the deadline wheel.
 //!
 //! Ownership protocol (the part that keeps this correct without an
 //! async runtime):
 //!
-//! * every fd is registered `EPOLLONESHOT` and armed **only while its
-//!   task is parked** in the slab — a running task's fd is disarmed, so
-//!   readiness events can only ever refer to parked tasks;
-//! * unparking (by event or by deadline) atomically takes the boxed
-//!   task out of its slot and hands it to exactly one worker;
+//! * every fd is registered `EPOLLONESHOT` and armed only when its task
+//!   parks, so it reports at most one event per park;
+//! * a task leaves the slab only through [`Slab::take_parked`], by the
+//!   worker its event woke or by the reactor when its deadline fired;
+//!   whoever takes it owns it, and the other finds the slot not parked
+//!   and drops its event or timer entry. (An event that finds its slot
+//!   already reused by a newer connection only wakes that task
+//!   spuriously: it finds nothing to read and parks again.)
+//! * a worker takes at most one event per wait, so it never holds a
+//!   second connection's readiness while a long handler runs;
 //! * each park bumps the slot's sequence number; timer-wheel entries
 //!   carry the sequence they were armed under, so a deadline that fires
-//!   after its park ended expires into nothing (lazy cancellation).
+//!   after its park ended expires into nothing (lazy cancellation);
+//! * a deadline acts only on a socket with nothing pending. A task whose
+//!   readiness already arrived — its event waiting for a busy worker —
+//!   parks again for a worker to serve instead of timing out. The drain
+//!   likewise keeps an idle connection whose next request has arrived.
 //!
 //! Shutdown replaces the old "connect a no-op TCP client to our own
 //! listener" nudge: an `eventfd` [`Waker`] kicks the reactor out of
 //! `epoll_wait`, the listener is deregistered, idle connections are
-//! closed, and in-flight requests get `DRAIN_GRACE` to finish.
+//! closed, and in-flight requests get `DRAIN_GRACE` to finish. Then a
+//! second eventfd wakes the workers out of their `epoll_wait` to exit.
 
-use crate::http::{HttpError, Request, Response, Status};
+use crate::http::{HttpError, Request, Response, Status, CONTINUE};
 use crate::router::Router;
 use crate::server::{epoch_secs, ServerConfig, Shared, DRAIN_GRACE};
-use crate::sys::{Epoll, Event, Interest, Waker};
+use crate::sys::{ready_now, Epoll, Event, Interest, Waker};
 use crate::wheel::{Deadline, TimerWheel};
 use obs::{Counter, Gauge, Obs};
-use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Token reserved for the shutdown eventfd.
-const TOKEN_WAKER: u64 = u64::MAX;
-/// Token reserved for the TCP listener.
-const TOKEN_LISTENER: u64 = u64::MAX - 1;
+/// Reactor-epoll token of the shutdown eventfd.
+const TOKEN_WAKER: u64 = 0;
+/// Reactor-epoll token of the TCP listener.
+const TOKEN_LISTENER: u64 = 1;
+/// Connection-epoll token of [`Core::halt`]; slab tokens never reach it.
+const TOKEN_HALT: u64 = u64::MAX;
+/// Longest a worker blocks in `epoll_wait` before it looks at the stop
+/// flag again, should a halt wake-up be lost.
+const WORKER_WAIT_MS: i32 = 50;
 /// Bytes read per `read` call while filling a request buffer (both
 /// engines).
 pub(crate) const READ_CHUNK: usize = 16 * 1024;
@@ -106,6 +123,9 @@ struct Conn {
     /// A request is mid-flight on this connection (first byte seen,
     /// response not fully flushed). Counted in [`Shared::active`].
     active: bool,
+    /// A [`CONTINUE`] is queued or sent for the current request; its
+    /// final response clears this.
+    continued: bool,
     /// Requests completed on this connection (keep-alive reuse count).
     served: u64,
     /// This is a 503-shed connection (counted separately from `open`).
@@ -124,6 +144,7 @@ impl Conn {
             keep_alive: false,
             draining: shed,
             active: false,
+            continued: false,
             served: 0,
             shed,
             started: Instant::now(),
@@ -135,7 +156,7 @@ enum Slot {
     Vacant,
     /// Task waiting for readiness or a deadline; fd armed.
     Parked(Box<Conn>),
-    /// Task owned by the queue or a worker; fd disarmed.
+    /// Task owned by a worker or by the reactor thread.
     Running,
 }
 
@@ -179,74 +200,17 @@ impl Slab {
     }
 }
 
-/// Ready-to-run work: an unparked task and why it woke.
-struct Work {
-    token: usize,
-    conn: Box<Conn>,
-    timed_out: bool,
-}
-
-/// Per-worker run queues with steal-from-the-back, the long-lived
-/// sibling of the batch pool in `checker::pool`.
-struct Queues {
-    queues: Vec<Mutex<VecDeque<Work>>>,
-    gate: Mutex<()>,
-    cv: Condvar,
-    pending: AtomicUsize,
-    busy: AtomicUsize,
-    rr: AtomicUsize,
-    stop: AtomicBool,
-}
-
-impl Queues {
-    fn new(workers: usize) -> Queues {
-        Queues {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            gate: Mutex::new(()),
-            cv: Condvar::new(),
-            pending: AtomicUsize::new(0),
-            busy: AtomicUsize::new(0),
-            rr: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
-        }
-    }
-
-    fn push(&self, w: Work) {
-        let i = self.rr.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-        self.queues[i].lock().unwrap().push_back(w);
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        let _g = self.gate.lock().unwrap();
-        self.cv.notify_one();
-    }
-
-    fn pop(&self, home: usize) -> Option<Work> {
-        let n = self.queues.len();
-        for k in 0..n {
-            let i = (home + k) % n;
-            let mut q = self.queues[i].lock().unwrap();
-            // Own queue from the front (FIFO fairness), steals from the
-            // back (coarse work, fewer collisions).
-            let w = if k == 0 { q.pop_front() } else { q.pop_back() };
-            if let Some(w) = w {
-                drop(q);
-                // Claim busy *before* releasing pending so the drain
-                // check never sees in-hand work vanish from both.
-                self.busy.fetch_add(1, Ordering::SeqCst);
-                self.pending.fetch_sub(1, Ordering::SeqCst);
-                return Some(w);
-            }
-        }
-        None
-    }
-}
-
 /// Everything the reactor thread, the workers and [`ServerHandle`]
 /// share.
 ///
 /// [`ServerHandle`]: crate::server::ServerHandle
 pub(crate) struct Core {
-    epoll: Epoll,
+    /// The connection epoll: every worker waits on it.
+    conns: Epoll,
     waker: Waker,
+    /// Set once `hard_stop` is: wakes the workers out of `epoll_wait`.
+    /// Never drained, so each worker re-arms it for the next and exits.
+    halt: Waker,
     config: ServerConfig,
     router: Arc<Router>,
     obs: Option<Arc<Obs>>,
@@ -254,10 +218,13 @@ pub(crate) struct Core {
     shared: Arc<Shared>,
     slab: Mutex<Slab>,
     wheel: Mutex<TimerWheel>,
-    queues: Queues,
+    /// Tasks a worker has taken out of the slab and not yet parked again
+    /// or closed.
+    in_hand: AtomicUsize,
     /// Base of the wheel's millisecond clock.
     epoch: Instant,
-    /// Grace expired: parks are refused, remaining tasks close.
+    /// Grace expired: parks are refused, workers exit, remaining tasks
+    /// close.
     hard_stop: AtomicBool,
     /// Shed connections still draining (bounded separately).
     shed_open: AtomicUsize,
@@ -291,10 +258,13 @@ pub(crate) fn spawn(
 ) -> std::io::Result<ReactorHandle> {
     crate::sys::raise_nofile_limit();
     listener.set_nonblocking(true)?;
-    let epoll = Epoll::new()?;
+    let conns = Epoll::new()?;
+    let reactor = Epoll::new()?;
     let waker = Waker::new()?;
-    epoll.register_armed(waker.fd(), Interest::Read, TOKEN_WAKER)?;
-    epoll.register_armed(listener.as_raw_fd(), Interest::Read, TOKEN_LISTENER)?;
+    let halt = Waker::new()?;
+    reactor.register_armed(waker.fd(), Interest::Read, TOKEN_WAKER)?;
+    reactor.register_armed(listener.as_raw_fd(), Interest::Read, TOKEN_LISTENER)?;
+    conns.register_armed(halt.fd(), Interest::Read, TOKEN_HALT)?;
     let workers = if config.workers == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -305,8 +275,9 @@ pub(crate) fn spawn(
     };
     let metrics = obs.as_deref().map(Metrics::new);
     let core = Arc::new(Core {
-        epoll,
+        conns,
         waker,
+        halt,
         config,
         router,
         obs,
@@ -320,7 +291,7 @@ pub(crate) fn spawn(
         // 256 slots × 16ms ≈ 4s revolution: every portal deadline fits
         // in a couple of revolutions.
         wheel: Mutex::new(TimerWheel::new(256, 16)),
-        queues: Queues::new(workers),
+        in_hand: AtomicUsize::new(0),
         epoch: Instant::now(),
         hard_stop: AtomicBool::new(false),
         shed_open: AtomicUsize::new(0),
@@ -331,20 +302,23 @@ pub(crate) fn spawn(
         worker_threads.push(
             std::thread::Builder::new()
                 .name(format!("httpd-worker-{i}"))
-                .spawn(move || worker_loop(&core, i))?,
+                .spawn(move || worker_loop(&core))?,
         );
     }
     let core2 = Arc::clone(&core);
     let thread = std::thread::Builder::new()
         .name("httpd-reactor".into())
-        .spawn(move || reactor_loop(&core2, listener, worker_threads))?;
+        .spawn(move || reactor_loop(&core2, &reactor, listener, worker_threads))?;
     Ok(ReactorHandle {
         core,
         thread: Some(thread),
     })
 }
 
-fn reactor_loop(core: &Core, listener: TcpListener, workers: Vec<JoinHandle<()>>) {
+/// The reactor thread: accept and shed on the listener, act on due
+/// deadlines, and drain on shutdown. `reactor` holds the listener and the
+/// waker; connection readiness never comes here.
+fn reactor_loop(core: &Core, reactor: &Epoll, listener: TcpListener, workers: Vec<JoinHandle<()>>) {
     let mut events: Vec<Event> = Vec::new();
     let mut due: Vec<Deadline> = Vec::new();
     let mut stopping = false;
@@ -352,8 +326,9 @@ fn reactor_loop(core: &Core, listener: TcpListener, workers: Vec<JoinHandle<()>>
     let mut drain_deadline = Instant::now();
     loop {
         let now = core.now_ms();
-        // Poll timeout: next wheel deadline, capped so late parks (armed
-        // while we sleep) and the stop flag are noticed promptly.
+        // Poll timeout: next wheel deadline, capped so deadlines that
+        // workers arm while we sleep and the stop flag are noticed
+        // promptly.
         let cap: u64 = if stopping {
             5
         } else if core.shared.open.load(Ordering::SeqCst) > 0
@@ -370,7 +345,7 @@ fn reactor_loop(core: &Core, listener: TcpListener, workers: Vec<JoinHandle<()>>
             .next_deadline_in(now)
             .map_or(cap, |ms| ms.min(cap)) as i32;
         events.clear();
-        if core.epoll.wait(&mut events, timeout).is_err() {
+        if reactor.wait(&mut events, timeout).is_err() {
             std::thread::sleep(Duration::from_millis(5));
         }
         if !events.is_empty() {
@@ -382,19 +357,15 @@ fn reactor_loop(core: &Core, listener: TcpListener, workers: Vec<JoinHandle<()>>
             match ev.token {
                 TOKEN_WAKER => {
                     core.waker.drain();
-                    let _ = core
-                        .epoll
-                        .rearm(core.waker.fd(), Interest::Read, TOKEN_WAKER);
+                    let _ = reactor.rearm(core.waker.fd(), Interest::Read, TOKEN_WAKER);
                 }
                 TOKEN_LISTENER => {
                     accept_burst(core, &listener, stopping);
                     if listener_open && !stopping {
-                        let _ =
-                            core.epoll
-                                .rearm(listener.as_raw_fd(), Interest::Read, TOKEN_LISTENER);
+                        let _ = reactor.rearm(listener.as_raw_fd(), Interest::Read, TOKEN_LISTENER);
                     }
                 }
-                t => unpark(core, t as usize, false),
+                _ => {}
             }
         }
         due.clear();
@@ -407,15 +378,15 @@ fn reactor_loop(core: &Core, listener: TcpListener, workers: Vec<JoinHandle<()>>
             stopping = true;
             drain_deadline = Instant::now() + DRAIN_GRACE;
             if listener_open {
-                let _ = core.epoll.deregister(listener.as_raw_fd());
+                let _ = reactor.deregister(listener.as_raw_fd());
                 listener_open = false;
             }
         }
         if stopping {
-            close_idle_parked(core);
-            let quiesced = core.shared.active.load(Ordering::SeqCst) == 0
-                && core.queues.pending.load(Ordering::SeqCst) == 0
-                && core.queues.busy.load(Ordering::SeqCst) == 0;
+            let waiting = close_idle_parked(core);
+            let quiesced = waiting == 0
+                && core.shared.active.load(Ordering::SeqCst) == 0
+                && core.in_hand.load(Ordering::SeqCst) == 0;
             if quiesced || Instant::now() >= drain_deadline {
                 break;
             }
@@ -424,11 +395,7 @@ fn reactor_loop(core: &Core, listener: TcpListener, workers: Vec<JoinHandle<()>>
     // Grace spent (or everything drained): refuse further parks, stop the
     // workers, and close whatever is left.
     core.hard_stop.store(true, Ordering::SeqCst);
-    core.queues.stop.store(true, Ordering::SeqCst);
-    {
-        let _g = core.queues.gate.lock().unwrap();
-        core.queues.cv.notify_all();
-    }
+    core.halt.wake();
     for t in workers {
         let _ = t.join();
     }
@@ -449,13 +416,6 @@ fn reactor_loop(core: &Core, listener: TcpListener, workers: Vec<JoinHandle<()>>
             m.parked.sub(1);
         }
         drop_conn_counts(core, &conn);
-    }
-    for q in &core.queues.queues {
-        let mut q = q.lock().unwrap();
-        while let Some(w) = q.pop_front() {
-            core.queues.pending.fetch_sub(1, Ordering::SeqCst);
-            drop_conn_counts(core, &w.conn);
-        }
     }
 }
 
@@ -528,59 +488,67 @@ fn shed(core: &Core, stream: TcpStream) {
     enroll(core, conn);
 }
 
-/// Register a fresh connection's fd and queue its first run (bytes may
-/// already be waiting; the task parks itself if not).
+/// Register a fresh connection's fd on the connection epoll and park its
+/// task. A worker runs it once its first request arrives (or, for a shed
+/// connection, once its 503 can be written), like every later run.
 fn enroll(core: &Core, conn: Box<Conn>) {
     let fd = conn.stream.as_raw_fd();
     let token = core.slab.lock().unwrap().alloc();
-    if core.epoll.register(fd, token as u64).is_err() {
+    if core.conns.register(fd, token as u64).is_err() {
         core.slab.lock().unwrap().release(token);
         drop_conn_counts(core, &conn);
         return;
     }
-    core.queues.push(Work {
-        token,
-        conn,
-        timed_out: false,
-    });
+    park(core, token, conn);
 }
 
-/// Move a parked task to the run queue. `timed_out` tells the task why.
-fn unpark(core: &Core, token: usize, timed_out: bool) {
-    let conn = core.slab.lock().unwrap().take_parked(token);
-    if let Some(conn) = conn {
-        if let Some(m) = &core.metrics {
-            m.parked.sub(1);
-        }
-        core.queues.push(Work {
-            token,
-            conn,
-            timed_out,
-        });
-    }
-}
-
-/// A wheel entry fired: only acts if the park it was armed under is
-/// still the current one (sequence check = lazy cancellation).
+/// A wheel entry fired. It acts only if the park it was armed under is
+/// still the current one (sequence check = lazy cancellation), and only
+/// on a socket with nothing pending: a task whose readiness already
+/// arrived, its event waiting for a busy worker, parks again for a
+/// worker to serve. Otherwise the task times out here, on the reactor
+/// thread. That is cheap, because a timed-out task never reaches the
+/// router: it flushes a 408 or nothing, then closes.
 fn expire(core: &Core, d: &Deadline) {
-    {
-        let slab = core.slab.lock().unwrap();
+    let conn = {
+        let mut slab = core.slab.lock().unwrap();
         if d.token >= slab.seqs.len() || slab.seqs[d.token] != d.seq {
             return;
         }
+        slab.take_parked(d.token)
+    };
+    let Some(mut conn) = conn else {
+        return;
+    };
+    if let Some(m) = &core.metrics {
+        m.parked.sub(1);
     }
-    unpark(core, d.token, true);
+    let next = if ready_now(conn.stream.as_raw_fd(), waits_for(core, &conn).0) {
+        Next::Park
+    } else {
+        time_out(core, &mut conn)
+    };
+    settle(core, d.token, conn, next);
 }
 
 /// During drain: close parked connections with no request mid-flight
-/// (idle keep-alives, never-spoke clients, shed drainers).
-fn close_idle_parked(core: &Core) {
+/// (idle keep-alives, never-spoke clients, shed drainers). An idle one
+/// whose next request already arrived, waiting for a busy worker, stays
+/// open to be served; returns how many did.
+fn close_idle_parked(core: &Core) -> usize {
+    let mut waiting = 0;
     let victims: Vec<Box<Conn>> = {
         let mut slab = core.slab.lock().unwrap();
         (0..slab.slots.len())
             .filter_map(|t| {
-                let idle = matches!(&slab.slots[t], Slot::Parked(c) if !c.active);
-                if !idle {
+                let Slot::Parked(c) = &slab.slots[t] else {
+                    return None;
+                };
+                if c.active {
+                    return None;
+                }
+                if !c.draining && ready_now(c.stream.as_raw_fd(), Interest::Read) {
+                    waiting += 1;
                     return None;
                 }
                 let c = slab.take_parked(t);
@@ -597,12 +565,13 @@ fn close_idle_parked(core: &Core) {
         }
         drop_conn_counts(core, &conn);
     }
+    waiting
 }
 
 /// Undo a connection's contribution to every gauge; the fd closes when
 /// the `Conn` drops.
 fn drop_conn_counts(core: &Core, conn: &Conn) {
-    let _ = core.epoll.deregister(conn.stream.as_raw_fd());
+    let _ = core.conns.deregister(conn.stream.as_raw_fd());
     if conn.shed {
         core.shed_open.fetch_sub(1, Ordering::SeqCst);
     } else {
@@ -619,37 +588,55 @@ fn drop_conn_counts(core: &Core, conn: &Conn) {
     }
 }
 
-fn worker_loop(core: &Core, home: usize) {
-    loop {
-        if let Some(w) = core.queues.pop(home) {
-            drive_work(core, w);
-            core.queues.busy.fetch_sub(1, Ordering::SeqCst);
+/// A worker: wait on the connection epoll for one event, take the task it
+/// names out of the slab, and run it until it parks or closes.
+fn worker_loop(core: &Core) {
+    let mut events: Vec<Event> = Vec::with_capacity(1);
+    while !core.hard_stop.load(Ordering::SeqCst) {
+        events.clear();
+        if core.conns.wait_max(&mut events, WORKER_WAIT_MS, 1).is_err() {
+            std::thread::sleep(Duration::from_millis(5));
             continue;
         }
-        if core.queues.stop.load(Ordering::SeqCst) {
+        let Some(ev) = events.first() else {
+            continue;
+        };
+        if ev.token == TOKEN_HALT {
+            // Pass the halt on to the next waiting worker.
+            let _ = core.conns.rearm(core.halt.fd(), Interest::Read, TOKEN_HALT);
             return;
         }
-        let guard = core.queues.gate.lock().unwrap();
-        if core.queues.pending.load(Ordering::SeqCst) == 0
-            && !core.queues.stop.load(Ordering::SeqCst)
-        {
-            let _ = core
-                .queues
-                .cv
-                .wait_timeout(guard, Duration::from_millis(50))
-                .unwrap();
+        if let Some(m) = &core.metrics {
+            m.wakeups.inc();
         }
+        let token = ev.token as usize;
+        let conn = {
+            let mut slab = core.slab.lock().unwrap();
+            let conn = slab.take_parked(token);
+            // Counted before the slab lock drops: the drain check passes
+            // over the slab first, so it sees the task in one place or
+            // the other.
+            if conn.is_some() {
+                core.in_hand.fetch_add(1, Ordering::SeqCst);
+            }
+            conn
+        };
+        let Some(mut conn) = conn else {
+            continue;
+        };
+        if let Some(m) = &core.metrics {
+            m.parked.sub(1);
+        }
+        let next = drive(core, &mut conn);
+        settle(core, token, conn, next);
+        core.in_hand.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-fn drive_work(core: &Core, w: Work) {
-    let Work {
-        token,
-        mut conn,
-        timed_out,
-    } = w;
-    match drive(core, &mut conn, timed_out) {
-        Next::Park(interest, timeout) => park(core, token, conn, interest, timeout),
+/// Act on what a run of the task decided: park it again or close it.
+fn settle(core: &Core, token: usize, conn: Box<Conn>, next: Next) {
+    match next {
+        Next::Park => park(core, token, conn),
         Next::Close => {
             core.slab.lock().unwrap().release(token);
             drop_conn_counts(core, &conn);
@@ -657,14 +644,27 @@ fn drive_work(core: &Core, w: Work) {
     }
 }
 
-/// Re-park a task: slot in the slab, deadline on the wheel, fd armed —
+/// What a parked task waits for, and how long: to flush its pending
+/// output, or else to read (a shed drainer only briefly).
+fn waits_for(core: &Core, conn: &Conn) -> (Interest, Duration) {
+    if conn.out_pos < conn.out.len() {
+        (Interest::Write, core.config.write_timeout)
+    } else if conn.draining {
+        (Interest::Read, Duration::from_millis(SHED_DRAIN_MS))
+    } else {
+        (Interest::Read, core.config.read_timeout)
+    }
+}
+
+/// Park a task: slot in the slab, deadline on the wheel, fd armed —
 /// strictly in that order (the fd arm is the publication point).
-fn park(core: &Core, token: usize, conn: Box<Conn>, interest: Interest, timeout: Duration) {
+fn park(core: &Core, token: usize, conn: Box<Conn>) {
     if core.hard_stop.load(Ordering::SeqCst) {
         core.slab.lock().unwrap().release(token);
         drop_conn_counts(core, &conn);
         return;
     }
+    let (interest, timeout) = waits_for(core, &conn);
     let fd = conn.stream.as_raw_fd();
     let seq = {
         let mut slab = core.slab.lock().unwrap();
@@ -685,7 +685,7 @@ fn park(core: &Core, token: usize, conn: Box<Conn>, interest: Interest, timeout:
             at_ms: now + timeout.as_millis() as u64,
         },
     );
-    if core.epoll.rearm(fd, interest, token as u64).is_err() {
+    if core.conns.rearm(fd, interest, token as u64).is_err() {
         // Readiness is unobservable: pull the task back out and close.
         let conn = core.slab.lock().unwrap().take_parked(token);
         if let Some(conn) = conn {
@@ -698,8 +698,10 @@ fn park(core: &Core, token: usize, conn: Box<Conn>, interest: Interest, timeout:
     }
 }
 
+/// Where a run of a task leaves it.
 enum Next {
-    Park(Interest, Duration),
+    /// Park for what [`waits_for`] says.
+    Park,
     Close,
 }
 
@@ -712,10 +714,7 @@ enum IoStep {
 /// Run one connection task until it blocks or finishes: flush pending
 /// output, parse buffered requests (pipelining included), read more
 /// bytes, repeat.
-fn drive(core: &Core, conn: &mut Conn, timed_out: bool) -> Next {
-    if timed_out && !on_timeout(core, conn) {
-        return Next::Close;
-    }
+fn drive(core: &Core, conn: &mut Conn) -> Next {
     loop {
         if conn.out_pos < conn.out.len() {
             match flush(conn) {
@@ -727,6 +726,9 @@ fn drive(core: &Core, conn: &mut Conn, timed_out: bool) -> Next {
                         // the client was mid-sending so it sees the
                         // response rather than an RST.
                         let _ = conn.stream.shutdown(Shutdown::Write);
+                    } else if conn.continued {
+                        // The interim `100 Continue` is out; the body
+                        // comes next.
                     } else {
                         finish_response(core, conn);
                         if !conn.keep_alive {
@@ -740,18 +742,14 @@ fn drive(core: &Core, conn: &mut Conn, timed_out: bool) -> Next {
                         }
                     }
                 }
-                IoStep::WouldBlock => {
-                    return Next::Park(Interest::Write, core.config.write_timeout)
-                }
+                IoStep::WouldBlock => return Next::Park,
                 IoStep::Closed => return Next::Close,
             }
             continue;
         }
         if conn.draining {
             return match sink(conn) {
-                IoStep::WouldBlock => {
-                    Next::Park(Interest::Read, Duration::from_millis(SHED_DRAIN_MS))
-                }
+                IoStep::WouldBlock => Next::Park,
                 _ => Next::Close,
             };
         }
@@ -761,7 +759,13 @@ fn drive(core: &Core, conn: &mut Conn, timed_out: bool) -> Next {
                 respond(core, conn, &mut req);
                 continue;
             }
-            Ok(None) => {}
+            Ok(None) => {
+                if !conn.continued && Request::awaits_continue(&conn.buf, core.config.max_body) {
+                    conn.continued = true;
+                    conn.out.extend_from_slice(CONTINUE);
+                    continue;
+                }
+            }
             Err(e) => {
                 reject(core, conn, e);
                 continue;
@@ -774,7 +778,7 @@ fn drive(core: &Core, conn: &mut Conn, timed_out: bool) -> Next {
                 }
                 continue;
             }
-            IoStep::WouldBlock => return Next::Park(Interest::Read, core.config.read_timeout),
+            IoStep::WouldBlock => return Next::Park,
             IoStep::Closed => {
                 if conn.buf.is_empty() {
                     // Peer hung up between requests: not an error.
@@ -787,13 +791,14 @@ fn drive(core: &Core, conn: &mut Conn, timed_out: bool) -> Next {
     }
 }
 
-/// A parked deadline fired. Returns `false` when the connection should
-/// just close (idle keep-alive, stalled response writer, shed drainer)
-/// and `true` when a `408` has been queued for a stalled request.
-fn on_timeout(core: &Core, conn: &mut Conn) -> bool {
+/// A parked deadline fired on a socket with nothing pending. An idle
+/// keep-alive, a stalled response writer or a shed drainer just closes;
+/// a stalled request gets a `408`, which closes the connection once it
+/// is flushed, so the router is never reached from here.
+fn time_out(core: &Core, conn: &mut Conn) -> Next {
     let mid_request = !conn.draining && conn.out_pos >= conn.out.len() && !conn.buf.is_empty();
     if !mid_request {
-        return false;
+        return Next::Close;
     }
     if let Some(m) = &core.metrics {
         m.timeouts.inc();
@@ -801,7 +806,7 @@ fn on_timeout(core: &Core, conn: &mut Conn) -> bool {
     conn.buf.clear();
     let resp = Response::error(Status::REQUEST_TIMEOUT, "request not received in time");
     send_response(core, conn, &resp, ("-", "-"), false);
-    true
+    drive(core, conn)
 }
 
 fn begin_request(core: &Core, conn: &mut Conn) {
@@ -837,6 +842,7 @@ fn send_response(
     keep_alive: bool,
 ) {
     conn.keep_alive = keep_alive;
+    conn.continued = false;
     conn.out_pos = 0;
     resp.write_into(&mut conn.out, keep_alive);
     if let Some(o) = core.obs.as_deref() {

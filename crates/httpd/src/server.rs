@@ -6,11 +6,11 @@
 //! sheds excess load with `503 Retry-After`, and a graceful shutdown
 //! that stops accepting but lets in-flight requests finish.
 
-use crate::http::{HttpError, Request, Response, Status};
+use crate::http::{HttpError, Request, Response, Status, CONTINUE};
 use crate::reactor;
 use crate::router::Router;
 use obs::Obs;
-use std::io::{ErrorKind, Read};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -231,7 +231,7 @@ impl Server {
         );
         m.describe(
             "ccp_httpd_reactor_wakeups_total",
-            "reactor epoll wakeups that delivered at least one event",
+            "epoll wake-ups of the reactor thread and the workers that delivered an event",
         );
         m.describe(
             "ccp_httpd_tasks_parked",
@@ -385,15 +385,23 @@ fn shed_connection(mut stream: TcpStream, config: &ServerConfig, obs: Option<&Ob
 
 /// Read one request off a blocking socket and parse it with the same
 /// incremental parser the reactor runs, so both engines enforce
-/// [`crate::http::MAX_HEAD`] and `max_body` alike. A read deadline
-/// expiring (`TimedOut` on most platforms, `WouldBlock` on unix sockets
-/// with `SO_RCVTIMEO`) is a stalled client, not a malformed request.
+/// [`crate::http::MAX_HEAD`] and `max_body` and answer
+/// `Expect: 100-continue` alike. A read deadline expiring (`TimedOut` on
+/// most platforms, `WouldBlock` on unix sockets with `SO_RCVTIMEO`) is a
+/// stalled client, not a malformed request.
 fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, HttpError> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; reactor::READ_CHUNK];
+    let mut continued = false;
     loop {
         if let Some((req, _)) = Request::parse_bytes(&buf, max_body)? {
             return Ok(req);
+        }
+        if !continued && Request::awaits_continue(&buf, max_body) {
+            continued = true;
+            stream
+                .write_all(CONTINUE)
+                .map_err(|e| HttpError::Io(e.to_string()))?;
         }
         match stream.read(&mut chunk) {
             Ok(0) if buf.is_empty() => return Err(HttpError::Malformed("empty request")),
@@ -673,6 +681,143 @@ mod tests {
     }
 
     #[test]
+    fn expect_100_continue_is_answered_before_the_body() {
+        for engine in engines() {
+            let config = ServerConfig {
+                engine,
+                max_body: 64,
+                ..ServerConfig::default()
+            };
+            let h = Server::with_config(test_router(), config)
+                .spawn("127.0.0.1:0")
+                .unwrap();
+            let mut s = TcpStream::connect(h.addr()).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+            s.write_all(
+                b"POST /echo HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 5\r\n\r\n",
+            )
+            .unwrap();
+            let mut interim = [0u8; CONTINUE.len()];
+            if let Err(e) = s.read_exact(&mut interim) {
+                panic!("{engine:?}: no 100 Continue within 1 s: {e}");
+            }
+            assert_eq!(&interim[..], CONTINUE, "{engine:?}");
+            s.write_all(b"hello").unwrap();
+            let mut rest = String::new();
+            s.read_to_string(&mut rest).unwrap();
+            assert!(rest.starts_with("HTTP/1.1 200"), "{engine:?}: {rest}");
+            assert!(rest.ends_with("hello"), "{engine:?}: {rest}");
+            // A declared body over the limit still gets 413 at once.
+            let resp = raw_request(
+                h.addr(),
+                "POST /echo HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 100\r\n\r\n",
+            );
+            assert!(resp.starts_with("HTTP/1.1 413"), "{engine:?}: {resp}");
+            h.shutdown();
+        }
+    }
+
+    #[test]
+    fn complete_request_waiting_for_a_busy_worker_outlives_read_timeout() {
+        if !crate::sys::SUPPORTED {
+            return;
+        }
+        // The only worker is in /slow for 300 ms while a complete request
+        // waits on a second connection. Its 80 ms read deadline passes with
+        // the bytes unread: the client did not stall, so it is served.
+        let config = ServerConfig {
+            engine: Engine::Reactor,
+            workers: 1,
+            read_timeout: Duration::from_millis(80),
+            ..ServerConfig::default()
+        };
+        let h = Server::with_config(test_router(), config)
+            .spawn("127.0.0.1:0")
+            .unwrap();
+        let addr = h.addr();
+        let slow = std::thread::spawn(move || raw_request(addr, "GET /slow HTTP/1.1\r\n\r\n"));
+        while h.inflight() == 0 {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let started = Instant::now();
+        let resp = raw_request(addr, "GET /ping HTTP/1.1\r\n\r\n");
+        assert!(resp.ends_with("pong"), "{resp}");
+        assert!(
+            started.elapsed() > Duration::from_millis(80),
+            "served before its deadline passed, so the probe proved nothing"
+        );
+        assert!(slow.join().unwrap().ends_with("done"));
+        h.shutdown();
+    }
+
+    #[test]
+    fn a_worker_in_a_long_handler_holds_no_other_connection() {
+        if !crate::sys::SUPPORTED {
+            return;
+        }
+        // Both workers are held in /hold while /slow and a ping arrive, so
+        // the two events wait in the epoll together. Once released, one
+        // worker runs /slow and the other serves the ping and 49 more
+        // sequential pings. A worker that took both events would make the
+        // first ping wait for /slow.
+        let release = Arc::new(AtomicBool::new(false));
+        let mut router = test_router();
+        {
+            let release = Arc::clone(&release);
+            router.get("/hold", move |_| {
+                while !release.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Response::text("held")
+            });
+        }
+        let config = ServerConfig {
+            engine: Engine::Reactor,
+            workers: 2,
+            ..ServerConfig::default()
+        };
+        let h = Server::with_config(router, config)
+            .spawn("127.0.0.1:0")
+            .unwrap();
+        let addr = h.addr();
+        let holds: Vec<_> = (0..2)
+            .map(|_| std::thread::spawn(move || raw_request(addr, "GET /hold HTTP/1.1\r\n\r\n")))
+            .collect();
+        while h.inflight() < 2 {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let ping = b"GET /ping HTTP/1.1\r\nConnection: keep-alive\r\n\r\n";
+        let mut slow = TcpStream::connect(addr).unwrap();
+        let mut s = TcpStream::connect(addr).unwrap();
+        slow.write_all(b"GET /slow HTTP/1.1\r\n\r\n").unwrap();
+        s.write_all(ping).unwrap();
+        while h.open_connections() < 4 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        release.store(true, Ordering::SeqCst);
+        let slow = std::thread::spawn(move || {
+            let mut resp = String::new();
+            slow.read_to_string(&mut resp).unwrap();
+            (resp, Instant::now())
+        });
+        for i in 0..50 {
+            if i > 0 {
+                s.write_all(ping).unwrap();
+            }
+            let resp = read_response(&mut s);
+            assert!(resp.ends_with("pong"), "ping {i}: {resp}");
+        }
+        let pings_done = Instant::now();
+        let (resp, slow_done) = slow.join().unwrap();
+        assert!(resp.ends_with("done"), "{resp}");
+        assert!(pings_done < slow_done, "a ping waited for /slow");
+        for t in holds {
+            assert!(t.join().unwrap().ends_with("held"));
+        }
+        h.shutdown();
+    }
+
+    #[test]
     fn keep_alive_reuses_connection() {
         if !crate::sys::SUPPORTED {
             return; // keep-alive is a reactor feature
@@ -878,6 +1023,39 @@ mod tests {
         h.shutdown();
         let resp = slow.join().unwrap();
         assert!(resp.ends_with("done"), "{resp}");
+    }
+
+    #[test]
+    fn drain_serves_a_request_that_waits_for_a_busy_worker() {
+        if !crate::sys::SUPPORTED {
+            return;
+        }
+        // The only worker is in /slow when an idle keep-alive connection
+        // sends its next request and shutdown begins. That request arrived
+        // before the drain, so it is answered, not cut off as idle.
+        let config = ServerConfig {
+            engine: Engine::Reactor,
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let h = Server::with_config(test_router(), config)
+            .spawn("127.0.0.1:0")
+            .unwrap();
+        let addr = h.addr();
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(b"GET /ping HTTP/1.1\r\nConnection: keep-alive\r\n\r\n")
+            .unwrap();
+        assert!(read_response(&mut s).ends_with("pong"));
+        let slow = std::thread::spawn(move || raw_request(addr, "GET /slow HTTP/1.1\r\n\r\n"));
+        while h.inflight() == 0 {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        s.write_all(b"GET /ping HTTP/1.1\r\n\r\n").unwrap();
+        h.shutdown();
+        let mut rest = String::new();
+        s.read_to_string(&mut rest).unwrap();
+        assert!(rest.ends_with("pong"), "{rest}");
+        assert!(slow.join().unwrap().ends_with("done"));
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Raw readiness primitives for the reactor: `epoll`, `eventfd` and a
-//! best-effort `RLIMIT_NOFILE` raise, issued as direct syscalls.
+//! Raw readiness primitives for the reactor: `epoll`, a zero-timeout
+//! `ppoll`, `eventfd` and a best-effort `RLIMIT_NOFILE` raise, issued as
+//! direct syscalls.
 //!
 //! No third-party crate is on the allowed dependency list (`libc`, `mio`,
 //! `polling` all out of reach), and `std` exposes nonblocking sockets but
@@ -30,6 +31,7 @@ mod imp {
         pub const WRITE: usize = 1;
         pub const CLOSE: usize = 3;
         pub const EPOLL_CTL: usize = 233;
+        pub const PPOLL: usize = 271;
         pub const EPOLL_PWAIT: usize = 281;
         pub const EVENTFD2: usize = 290;
         pub const EPOLL_CREATE1: usize = 291;
@@ -43,6 +45,7 @@ mod imp {
         pub const CLOSE: usize = 57;
         pub const EPOLL_CTL: usize = 21;
         pub const EPOLL_PWAIT: usize = 22;
+        pub const PPOLL: usize = 73;
         pub const EVENTFD2: usize = 19;
         pub const EPOLL_CREATE1: usize = 20;
         pub const PRLIMIT64: usize = 261;
@@ -202,6 +205,53 @@ mod imp {
         }
     }
 
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+
+    #[repr(C)]
+    struct Timespec {
+        sec: i64,
+        nsec: i64,
+    }
+
+    /// `ppoll` one fd with a zero timeout: whether any of `events` (the
+    /// `EPOLL*` bits share their values with `POLL*`), an error or a
+    /// hang-up is pending right now. A failed call reports `false`.
+    pub fn poll_now(fd: RawFd, events: u32) -> bool {
+        let mut pfd = PollFd {
+            fd,
+            events: events as i16,
+            revents: 0,
+        };
+        let zero = Timespec { sec: 0, nsec: 0 };
+        loop {
+            // SAFETY: `pfd` and `zero` outlive the call and have the
+            // kernel's `struct pollfd` / `struct timespec` layouts (both
+            // targets are 64-bit); `nfds` is 1, matching the one `pfd`; a
+            // null sigmask is allowed. The kernel writes only `revents`.
+            let ret = unsafe {
+                syscall6(
+                    nr::PPOLL,
+                    &mut pfd as *mut PollFd as usize,
+                    1,
+                    &zero as *const Timespec as usize,
+                    0, // no sigmask
+                    8, // kernel sigset size
+                    0,
+                )
+            };
+            match check(ret) {
+                Err(e) if e.raw_os_error() == Some(EINTR) => continue,
+                Ok(n) => return n > 0,
+                Err(_) => return false,
+            }
+        }
+    }
+
     pub fn eventfd() -> io::Result<RawFd> {
         check(unsafe { syscall6(nr::EVENTFD2, 0, EFD_CLOEXEC | EFD_NONBLOCK, 0, 0, 0, 0) })
             .map(|fd| fd as RawFd)
@@ -323,9 +373,9 @@ mod supported {
     }
 
     /// An epoll instance. All registrations are `EPOLLONESHOT`: an armed
-    /// fd fires at most once and stays quiet until re-armed, which gives
-    /// the reactor single-ownership hand-off for free (events can only
-    /// arrive for *parked* tasks; running tasks are disarmed).
+    /// fd fires at most once and stays quiet until re-armed, so however
+    /// many threads wait on one instance, each event reaches exactly one
+    /// of them.
     pub struct Epoll {
         fd: RawFd,
     }
@@ -362,8 +412,19 @@ mod supported {
         /// Wait up to `timeout_ms` (`-1` = forever) and append delivered
         /// events to `out`. Returns the number delivered.
         pub fn wait(&self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<usize> {
+            self.wait_max(out, timeout_ms, 256)
+        }
+
+        /// [`Epoll::wait`], taking at most `max` events (1..=256) per
+        /// call; the rest stay queued for the next waiter.
+        pub fn wait_max(
+            &self,
+            out: &mut Vec<Event>,
+            timeout_ms: i32,
+            max: usize,
+        ) -> io::Result<usize> {
             let mut raw = [imp::EpollEvent { events: 0, data: 0 }; 256];
-            let n = imp::epoll_wait(self.fd, &mut raw, timeout_ms)?;
+            let n = imp::epoll_wait(self.fd, &mut raw[..max.clamp(1, 256)], timeout_ms)?;
             for ev in raw.iter().take(n) {
                 let bits = ev.events;
                 let err = bits & (imp::EPOLLERR | imp::EPOLLHUP) != 0;
@@ -420,6 +481,12 @@ mod supported {
         fn drop(&mut self) {
             imp::close(self.fd);
         }
+    }
+
+    /// Whether `fd` is ready for `interest` right now, without waiting.
+    /// Errors and hang-ups count as ready, as they do for an epoll event.
+    pub fn ready_now(fd: RawFd, interest: Interest) -> bool {
+        imp::poll_now(fd, interest.bits())
     }
 
     /// Raise `RLIMIT_NOFILE` soft → hard (the load generator and the
@@ -506,6 +573,16 @@ mod unsupported {
         pub fn wait(&self, _out: &mut Vec<Event>, _timeout_ms: i32) -> io::Result<usize> {
             Err(unsupported())
         }
+
+        /// Unreachable (constructor fails).
+        pub fn wait_max(
+            &self,
+            _out: &mut Vec<Event>,
+            _timeout_ms: i32,
+            _max: usize,
+        ) -> io::Result<usize> {
+            Err(unsupported())
+        }
     }
 
     /// See the Linux implementation.
@@ -527,6 +604,11 @@ mod unsupported {
 
         /// Unreachable (constructor fails).
         pub fn drain(&self) {}
+    }
+
+    /// Unreachable (no reactor on this target).
+    pub fn ready_now(_fd: RawFd, _interest: Interest) -> bool {
+        false
     }
 
     /// No-op on this target.
@@ -598,6 +680,38 @@ mod tests {
             assert_eq!(events[0].token, 42);
             assert!(events[0].readable);
             ep.deregister(server.as_raw_fd()).unwrap();
+        }
+
+        #[test]
+        fn wait_max_leaves_the_rest_queued() {
+            let ep = Epoll::new().unwrap();
+            let (a, b) = (Waker::new().unwrap(), Waker::new().unwrap());
+            ep.register_armed(a.fd(), Interest::Read, 1).unwrap();
+            ep.register_armed(b.fd(), Interest::Read, 2).unwrap();
+            a.wake();
+            b.wake();
+            let mut events = Vec::new();
+            assert_eq!(ep.wait_max(&mut events, 1000, 1).unwrap(), 1);
+            assert_eq!(ep.wait_max(&mut events, 1000, 1).unwrap(), 1);
+            let mut tokens: Vec<u64> = events.iter().map(|e| e.token).collect();
+            tokens.sort_unstable();
+            assert_eq!(tokens, [1, 2], "each wait took one, neither was lost");
+        }
+
+        #[test]
+        fn ready_now_sees_pending_bytes_without_waiting() {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (server, _) = listener.accept().unwrap();
+            let fd = server.as_raw_fd();
+            assert!(!ready_now(fd, Interest::Read), "nothing sent yet");
+            assert!(ready_now(fd, Interest::Write), "empty send buffer");
+            client.write_all(b"x").unwrap();
+            let t = std::time::Instant::now();
+            while !ready_now(fd, Interest::Read) {
+                assert!(t.elapsed().as_secs() < 2, "byte never became readable");
+                std::thread::yield_now();
+            }
         }
 
         #[test]

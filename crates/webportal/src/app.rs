@@ -294,6 +294,8 @@ pub fn build_router(app: Arc<App>) -> Router {
         let app = Arc::clone(&app);
         router.post("/api/upload", move |req| {
             let token = need_token!(req);
+            // A bogus session gets its 401 before the body is parsed.
+            try_portal!(app.read(|p| p.whoami(&token, now())));
             let Some(boundary) = req.header("content-type").and_then(multipart_boundary) else {
                 return Response::error(Status::BAD_REQUEST, "expected multipart/form-data");
             };

@@ -971,6 +971,17 @@ fn upload_without_multipart_content_type_rejected() {
 }
 
 #[test]
+fn upload_with_a_bogus_session_gets_401() {
+    let (_app, router) = test_app();
+    // No file part, so no session-checked write ever runs: the route has
+    // to check the session itself.
+    let mut req = httpd::Request::synthetic(Method::Post, "/api/upload", b"--BNDRY--\r\n")
+        .with_header("cookie", "sid=not-a-session")
+        .with_header("content-type", "multipart/form-data; boundary=BNDRY");
+    assert_eq!(router.dispatch(&mut req).status, Status::UNAUTHORIZED);
+}
+
+#[test]
 fn analyze_endpoint_reports_race_with_repro() {
     let (app, router) = test_app();
     let tok = make_student(&app, &router, "alice");

@@ -116,6 +116,56 @@ fn default_config_with_minimization_is_bit_identical() {
     );
 }
 
+/// Three threads read `x` and a fourth writes it, so the write races with
+/// every read. The report must name one reader, the lowest, on every run
+/// and at every pool width, because `/api/analyze` shows it to students.
+/// Picking the reader by a randomly seeded hash map's iteration order
+/// named threads 1, 2 and 3 about equally often across runs.
+#[test]
+fn race_with_many_readers_names_the_lowest_reader_every_time() {
+    let src = r#"
+        var x = 0;
+        fn reader() {
+            var v = x;
+            return v;
+        }
+        fn writer() {
+            x = 1;
+        }
+        fn main() {
+            var a = spawn reader();
+            var b = spawn reader();
+            var c = spawn reader();
+            var d = spawn writer();
+            join(a);
+            join(b);
+            join(c);
+            join(d);
+            return x;
+        }
+    "#;
+    let program = minilang::compile(src).expect("probe compiles");
+    let cfg = CheckConfig::default();
+    let first = checker::check(&program, &cfg);
+    match &first.verdict {
+        checker::Verdict::Race { first, second, .. } => {
+            assert_eq!(first, "thread 1 read");
+            assert_eq!(second, "thread 4 write");
+        }
+        other => panic!("expected a race, got {other:?}"),
+    }
+    for run in 0..20 {
+        assert_eq!(checker::check(&program, &cfg), first, "serial run {run}");
+    }
+    for workers in [1usize, 2, 4] {
+        assert_eq!(
+            Pool::new(workers).check(&program, &cfg),
+            first,
+            "{workers} workers"
+        );
+    }
+}
+
 #[test]
 fn strategy_extremes_are_bit_identical() {
     // Pure DFS and pure random-walk exercise the two merge phases alone.

@@ -361,23 +361,25 @@ fn max_body_json_string_gets_401_within_seconds() {
     });
 }
 
-/// An 8 MiB upload of `-` against a ~30 KiB `-…-x` boundary, behind any
-/// `sid` cookie (the route checks only that one is present before it
-/// parses): the delimiter search is linear, so both engines answer within
-/// 5 s. Comparing the whole delimiter at every body offset takes about
-/// 7 s per request in a release build.
+/// An 8 MiB upload of `-` against a ~30 KiB `-…-x` boundary. Behind a
+/// bogus `sid` cookie it gets a 401 before the body is parsed. Behind a
+/// valid session the delimiter search is linear, so both engines answer
+/// within 5 s. Comparing the whole delimiter at every body offset takes
+/// about 7 s per request in a release build.
 #[test]
 fn long_multipart_boundary_is_answered_within_seconds() {
     with_deadline("long multipart boundary", Duration::from_secs(5), || {
         let boundary = format!("{}x", "-".repeat(30 << 10));
-        let headers = format!(
-            "Cookie: sid=not-a-session\r\nContent-Type: multipart/form-data; boundary={boundary}\r\n"
-        );
+        let content_type = format!("Content-Type: multipart/form-data; boundary={boundary}\r\n");
         let upload = vec![b'-'; MAX_BODY];
         for engine in [Engine::Reactor, Engine::Threads] {
-            let (handle, _) = serve(engine);
+            let (handle, token) = serve(engine);
             let mut c = Client::connect(handle.addr());
-            let (status, body) = c.call_with("POST", "/api/upload", &headers, &upload);
+            let bogus = format!("Cookie: sid=not-a-session\r\n{content_type}");
+            let (status, body) = c.call_with("POST", "/api/upload", &bogus, &upload);
+            assert_eq!(status, 401, "{engine:?}: {body:?}");
+            let valid = format!("Cookie: sid={token}\r\n{content_type}");
+            let (status, body) = c.call_with("POST", "/api/upload", &valid, &upload);
             // No delimiter occurs, so no part is found and nothing saved.
             assert_eq!(status, 201, "{engine:?}: {body:?}");
             assert_eq!(body.get("saved"), Some(&Json::Arr(vec![])), "{engine:?}");
