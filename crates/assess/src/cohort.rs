@@ -28,7 +28,7 @@ fn graded(lab: LabId, solved: bool) -> (bool, u32) {
 }
 
 /// Class size from the paper: "The size of the class was 19" (§III.C).
-pub const CLASS_SIZE: usize = 19;
+pub(crate) const CLASS_SIZE: usize = 19;
 
 /// One student's lab outcomes.
 #[derive(Debug, Clone)]
@@ -53,18 +53,13 @@ pub struct Cohort {
 impl Cohort {
     /// Draw `CLASS_SIZE` students deterministically from `seed`.
     pub fn new(seed: u64) -> Cohort {
-        Cohort::with_size(seed, CLASS_SIZE)
-    }
-
-    /// A cohort of arbitrary size (sensitivity analyses).
-    pub fn with_size(seed: u64, n: usize) -> Cohort {
         let mut rng = SplitMix64::seed_from_u64(seed);
-        let abilities = (0..n).map(|_| normal(&mut rng)).collect();
+        let abilities = (0..CLASS_SIZE).map(|_| normal(&mut rng)).collect();
         Cohort { abilities, seed }
     }
 
     /// The students' latent abilities.
-    pub fn abilities(&self) -> &[f64] {
+    pub(crate) fn abilities(&self) -> &[f64] {
         &self.abilities
     }
 
@@ -76,11 +71,6 @@ impl Cohort {
     /// Never empty in practice.
     pub fn is_empty(&self) -> bool {
         self.abilities.is_empty()
-    }
-
-    /// Probability that student `i` passes an item of difficulty `d`.
-    pub fn pass_probability(&self, student: usize, d: f64) -> f64 {
-        sigmoid(self.abilities[student] - d)
     }
 
     /// Simulate the term's seven labs end to end: the IRT model decides
@@ -96,8 +86,7 @@ impl Cohort {
     /// calibrated expectation. That keeps a single 19-student cohort's
     /// Table 1 reproduction inside binomial-noise bounds on every seed
     /// (independent Bernoulli draws could drift 4+ students), while the
-    /// per-lab offsets keep genuine seed-to-seed spread for the class-size
-    /// sensitivity analysis.
+    /// per-lab offsets keep genuine seed-to-seed spread.
     pub fn run_labs(&self) -> Vec<StudentOutcome> {
         let mut rng = SplitMix64::seed_from_u64(self.seed.wrapping_add(0x1ab5));
         let difficulties: Vec<f64> = LabId::ALL
@@ -137,7 +126,7 @@ impl Cohort {
     }
 
     /// Passing rate per lab from simulated outcomes, in [`LabId::ALL`] order.
-    pub fn lab_passing_rates(outcomes: &[StudentOutcome]) -> Vec<f64> {
+    pub(crate) fn lab_passing_rates(outcomes: &[StudentOutcome]) -> Vec<f64> {
         let n = outcomes.len().max(1) as f64;
         (0..LabId::ALL.len())
             .map(|li| outcomes.iter().filter(|o| o.lab_passed[li]).count() as f64 / n)
@@ -256,45 +245,5 @@ mod tests {
                 assert_eq!(*p, *s >= 70, "pass flag must match score threshold");
             }
         }
-    }
-}
-
-/// Sensitivity analysis: how the per-lab passing-rate *spread* (std dev
-/// across cohort seeds) shrinks as the class grows. With the paper's 19
-/// students, one student is ~5.3 percentage points — this function
-/// quantifies how grainy Table 1 inherently is.
-pub fn class_size_sensitivity(sizes: &[usize], seeds: u64) -> Vec<(usize, f64)> {
-    use crate::stats::{mean, stddev};
-    sizes
-        .iter()
-        .map(|&n| {
-            // Spread of the *average over labs* of per-lab rates, across seeds.
-            let rates: Vec<f64> = (0..seeds)
-                .map(|seed| {
-                    let cohort = Cohort::with_size(seed, n);
-                    let outcomes = cohort.run_labs();
-                    mean(&Cohort::lab_passing_rates(&outcomes))
-                })
-                .collect();
-            (n, stddev(&rates))
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod sensitivity_tests {
-    use super::*;
-
-    #[test]
-    fn bigger_classes_are_less_grainy() {
-        let rows = class_size_sensitivity(&[8, 64], 5);
-        assert_eq!(rows.len(), 2);
-        let (small_n, small_sd) = rows[0];
-        let (big_n, big_sd) = rows[1];
-        assert_eq!((small_n, big_n), (8, 64));
-        assert!(
-            big_sd < small_sd,
-            "spread should shrink with class size: n=8 sd={small_sd:.3}, n=64 sd={big_sd:.3}"
-        );
     }
 }

@@ -49,23 +49,18 @@ impl ExamResults {
     }
 
     /// Passing rate 1 (all students) for the final.
-    pub fn final_rate_all(&self) -> f64 {
+    pub(crate) fn final_rate_all(&self) -> f64 {
         rate(&self.final_exam)
     }
 
     /// Passing rate 2 (among course passers) for the midterm.
-    pub fn midterm_rate_passers(&self) -> f64 {
+    pub(crate) fn midterm_rate_passers(&self) -> f64 {
         rate_among(&self.midterm, &self.course_pass)
     }
 
     /// Passing rate 2 (among course passers) for the final.
     pub fn final_rate_passers(&self) -> f64 {
         rate_among(&self.final_exam, &self.course_pass)
-    }
-
-    /// Fraction of students who passed the course.
-    pub fn course_pass_rate(&self) -> f64 {
-        rate(&self.course_pass)
     }
 }
 
@@ -249,6 +244,5 @@ mod tests {
         assert_eq!(r.final_rate_all(), 0.5);
         assert_eq!(r.midterm_rate_passers(), 0.5);
         assert_eq!(r.final_rate_passers(), 1.0);
-        assert_eq!(r.course_pass_rate(), 0.5);
     }
 }

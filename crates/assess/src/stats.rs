@@ -4,7 +4,7 @@
 use rng::SplitMix64;
 
 /// The logistic function.
-pub fn sigmoid(x: f64) -> f64 {
+pub(crate) fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
 }
 
@@ -19,7 +19,7 @@ pub fn normal(rng: &mut SplitMix64) -> f64 {
 /// passing probability `mean_i sigmoid(a_i - d)` equals `target`.
 ///
 /// `target` is clamped to `[0.01, 0.99]`; abilities may be any reals.
-pub fn calibrate_difficulty(abilities: &[f64], target: f64) -> f64 {
+pub(crate) fn calibrate_difficulty(abilities: &[f64], target: f64) -> f64 {
     assert!(!abilities.is_empty(), "need at least one student");
     let target = target.clamp(0.01, 0.99);
     let rate =
@@ -72,7 +72,7 @@ pub fn welch_t(a: &[f64], b: &[f64]) -> (f64, f64) {
 
 /// Draw a Likert response on `[lo, hi]` whose population mean is `mu`:
 /// a normal around `mu` (sd `sigma`), rounded and clamped to the scale.
-pub fn likert(rng: &mut SplitMix64, mu: f64, sigma: f64, lo: i32, hi: i32) -> i32 {
+pub(crate) fn likert(rng: &mut SplitMix64, mu: f64, sigma: f64, lo: i32, hi: i32) -> i32 {
     let x = mu + sigma * normal(rng);
     (x.round() as i32).clamp(lo, hi)
 }

@@ -11,15 +11,19 @@
 //!   login with failure lockout;
 //! * [`session`] — expiring bearer tokens for the web portal.
 //!
+//! Salts and token entropy come from the operating system, never from a
+//! seed, so no two deployments share them.
+//!
 //! ```
 //! use auth::{UserStore, Role};
 //!
-//! let mut store = UserStore::new(7);
+//! let mut store = UserStore::new();
 //! store.register("hlin", "correct horse battery", Role::Faculty).unwrap();
 //! assert!(store.verify("hlin", "correct horse battery").is_ok());
 //! assert!(store.verify("hlin", "wrong").is_err());
 //! ```
 
+mod entropy;
 pub mod password;
 pub mod session;
 pub mod sha256;

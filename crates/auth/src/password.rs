@@ -2,12 +2,12 @@
 //!
 //! Scheme: `h_0 = SHA256(salt || password)`, `h_i = SHA256(h_{i-1} || salt)`,
 //! stored as `(salt, iterations, h_n)`. Iteration stretching makes offline
-//! guessing proportionally expensive; the per-user random salt defeats
-//! rainbow tables. This is a teaching-cluster portal, not a bank — the
-//! scheme is deliberately simple but structurally sound.
+//! guessing proportionally expensive; the per-user salt, drawn from OS
+//! entropy, defeats rainbow tables. This is a teaching-cluster portal, not
+//! a bank — the scheme is deliberately simple but structurally sound.
 
+use crate::entropy;
 use crate::sha256::Sha256;
-use rng::SplitMix64;
 
 /// Tunable hashing parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,10 +36,10 @@ pub struct PasswordHash {
 }
 
 impl PasswordHash {
-    /// Hash `password` under `policy` with a salt drawn from `rng`.
-    pub fn create(password: &str, policy: PasswordPolicy, rng: &mut SplitMix64) -> PasswordHash {
+    /// Hash `password` under `policy` with a fresh salt from OS entropy.
+    pub fn create(password: &str, policy: PasswordPolicy) -> PasswordHash {
         let mut salt = [0u8; 16];
-        rng.fill(&mut salt);
+        entropy::fill(&mut salt);
         let hash = stretch(password.as_bytes(), &salt, policy.iterations.max(1));
         PasswordHash {
             salt,
@@ -48,20 +48,10 @@ impl PasswordHash {
         }
     }
 
-    /// Deterministic creation for tests (seeded salt).
-    pub fn create_seeded(password: &str, policy: PasswordPolicy, seed: u64) -> PasswordHash {
-        PasswordHash::create(password, policy, &mut SplitMix64::seed_from_u64(seed))
-    }
-
     /// Constant-time verification of a candidate password.
     pub fn verify(&self, candidate: &str) -> bool {
         let got = stretch(candidate.as_bytes(), &self.salt, self.iterations);
         constant_time_eq(&got, &self.hash)
-    }
-
-    /// The iteration count this hash was stretched with.
-    pub fn iterations(&self) -> u32 {
-        self.iterations
     }
 }
 
@@ -102,13 +92,13 @@ mod tests {
 
     #[test]
     fn verify_accepts_correct_password() {
-        let h = PasswordHash::create_seeded("open sesame", policy(), 1);
+        let h = PasswordHash::create("open sesame", policy());
         assert!(h.verify("open sesame"));
     }
 
     #[test]
     fn verify_rejects_wrong_password() {
-        let h = PasswordHash::create_seeded("open sesame", policy(), 1);
+        let h = PasswordHash::create("open sesame", policy());
         assert!(!h.verify("open sesam"));
         assert!(!h.verify(""));
         assert!(!h.verify("open sesame "));
@@ -116,9 +106,9 @@ mod tests {
 
     #[test]
     fn same_password_different_salts_differ() {
-        let a = PasswordHash::create_seeded("hunter22", policy(), 1);
-        let b = PasswordHash::create_seeded("hunter22", policy(), 2);
-        assert_ne!(a, b);
+        let a = PasswordHash::create("hunter22", policy());
+        let b = PasswordHash::create("hunter22", policy());
+        assert_ne!(a, b, "consecutive salts must differ");
         assert!(a.verify("hunter22") && b.verify("hunter22"));
     }
 
@@ -128,17 +118,9 @@ mod tests {
             iterations: 0,
             min_length: 1,
         };
-        let h = PasswordHash::create_seeded("x", p, 3);
-        assert_eq!(h.iterations(), 1);
+        let h = PasswordHash::create("x", p);
+        assert_eq!(h.iterations, 1);
         assert!(h.verify("x"));
-    }
-
-    #[test]
-    fn random_salt_from_rng() {
-        let mut rng = SplitMix64::seed_from_u64(9);
-        let a = PasswordHash::create("pw-123456", policy(), &mut rng);
-        let b = PasswordHash::create("pw-123456", policy(), &mut rng);
-        assert_ne!(a, b, "consecutive salts must differ");
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Expiring bearer-token sessions for the web portal.
 //!
 //! Time is a logical `u64` supplied by the caller (the portal passes wall
-//! seconds; tests pass a counter), which keeps the crate deterministic.
+//! seconds; tests pass a counter). Token bytes come from OS entropy, so no
+//! two managers ever issue the same token.
 
+use crate::entropy;
 use crate::sha256::Sha256;
-use rng::SplitMix64;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -75,34 +76,28 @@ impl std::error::Error for SessionError {}
 pub struct SessionManager {
     sessions: HashMap<String, Session>,
     ttl: u64,
-    rng: SplitMix64,
     issued: u64,
 }
 
 impl SessionManager {
-    /// A manager whose tokens live `ttl` clock units; `seed` drives token
-    /// randomness.
-    pub fn new(ttl: u64, seed: u64) -> SessionManager {
+    /// A manager whose tokens live `ttl` clock units.
+    pub fn new(ttl: u64) -> SessionManager {
         SessionManager {
             sessions: HashMap::new(),
             ttl,
-            rng: SplitMix64::seed_from_u64(seed),
             issued: 0,
         }
     }
 
-    /// Issue a token for `username` at time `now`.
+    /// Issue a token for `username` at time `now`, first dropping every
+    /// session already expired at `now`, so sessions that never log out
+    /// do not accumulate.
     pub fn issue(&mut self, username: &str, now: u64) -> Token {
-        let mut entropy = [0u8; 32];
-        self.rng.fill(&mut entropy);
+        self.purge_expired(now);
+        let mut bytes = [0u8; 32];
+        entropy::fill(&mut bytes);
         self.issued += 1;
-        // Hash entropy with the issue counter and username so even a
-        // compromised RNG state cannot collide tokens.
-        let mut h = Sha256::new();
-        h.update(&entropy);
-        h.update(&self.issued.to_le_bytes());
-        h.update(username.as_bytes());
-        let tok = Token(Sha256::to_hex(&h.finalize()));
+        let tok = Token(Sha256::to_hex(&bytes));
         self.sessions.insert(
             tok.0.clone(),
             Session {
@@ -151,7 +146,7 @@ impl SessionManager {
     }
 
     /// Drop every expired session; returns how many were purged.
-    pub fn purge_expired(&mut self, now: u64) -> usize {
+    pub(crate) fn purge_expired(&mut self, now: u64) -> usize {
         let before = self.sessions.len();
         self.sessions.retain(|_, s| now < s.expires_at);
         before - self.sessions.len()
@@ -166,13 +161,6 @@ impl SessionManager {
     pub fn is_empty(&self) -> bool {
         self.sessions.is_empty()
     }
-
-    /// Revoke all sessions belonging to `username`; returns the count.
-    pub fn revoke_user(&mut self, username: &str) -> usize {
-        let before = self.sessions.len();
-        self.sessions.retain(|_, s| s.username != username);
-        before - self.sessions.len()
-    }
 }
 
 #[cfg(test)]
@@ -181,7 +169,7 @@ mod tests {
 
     #[test]
     fn issue_validate_roundtrip() {
-        let mut m = SessionManager::new(100, 1);
+        let mut m = SessionManager::new(100);
         let t = m.issue("alice", 0);
         let s = m.validate(&t, 50).unwrap();
         assert_eq!(s.username, "alice");
@@ -190,7 +178,7 @@ mod tests {
 
     #[test]
     fn tokens_are_unique_and_hex() {
-        let mut m = SessionManager::new(100, 1);
+        let mut m = SessionManager::new(100);
         let a = m.issue("alice", 0);
         let b = m.issue("alice", 0);
         assert_ne!(a, b);
@@ -200,7 +188,7 @@ mod tests {
 
     #[test]
     fn expiry_enforced() {
-        let mut m = SessionManager::new(10, 1);
+        let mut m = SessionManager::new(10);
         let t = m.issue("alice", 0);
         assert!(m.validate(&t, 9).is_ok());
         assert_eq!(
@@ -211,7 +199,7 @@ mod tests {
 
     #[test]
     fn touch_slides_expiry() {
-        let mut m = SessionManager::new(10, 1);
+        let mut m = SessionManager::new(10);
         let t = m.issue("alice", 0);
         m.touch(&t, 9).unwrap();
         assert!(m.validate(&t, 15).is_ok());
@@ -220,7 +208,7 @@ mod tests {
 
     #[test]
     fn generations_are_unique_and_monotonic() {
-        let mut m = SessionManager::new(100, 1);
+        let mut m = SessionManager::new(100);
         let a = m.issue("alice", 0);
         let b = m.issue("alice", 0);
         let ga = m.validate(&a, 1).unwrap().generation;
@@ -230,7 +218,7 @@ mod tests {
 
     #[test]
     fn revoke_and_unknown_token() {
-        let mut m = SessionManager::new(10, 1);
+        let mut m = SessionManager::new(10);
         let t = m.issue("alice", 0);
         assert!(m.revoke(&t));
         assert!(!m.revoke(&t));
@@ -241,7 +229,7 @@ mod tests {
 
     #[test]
     fn purge_removes_only_expired() {
-        let mut m = SessionManager::new(10, 1);
+        let mut m = SessionManager::new(10);
         let _a = m.issue("alice", 0);
         let b = m.issue("bob", 5);
         assert_eq!(m.purge_expired(12), 1);
@@ -250,13 +238,12 @@ mod tests {
     }
 
     #[test]
-    fn revoke_user_clears_all_their_sessions() {
-        let mut m = SessionManager::new(100, 1);
-        m.issue("alice", 0);
-        m.issue("alice", 0);
-        let b = m.issue("bob", 0);
-        assert_eq!(m.revoke_user("alice"), 2);
-        assert!(m.validate(&b, 1).is_ok());
-        assert!(!m.is_empty());
+    fn issuing_purges_expired_sessions() {
+        let mut m = SessionManager::new(10);
+        let stale = m.issue("alice", 0);
+        let fresh = m.issue("bob", 20);
+        assert_eq!(m.len(), 1);
+        assert_eq!(m.validate(&stale, 20), Err(SessionError::InvalidToken));
+        assert!(m.validate(&fresh, 20).is_ok());
     }
 }

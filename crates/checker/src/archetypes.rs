@@ -37,7 +37,7 @@ pub fn mini_locked_counter() -> &'static str {
 }
 
 /// The same counter without the mutex — a data race on `count`.
-pub fn mini_racy_counter() -> &'static str {
+pub(crate) fn mini_racy_counter() -> &'static str {
     r#"
         var count = 0;
         fn bump() {
@@ -56,7 +56,7 @@ pub fn mini_racy_counter() -> &'static str {
 /// Classic lock-order inversion: thread 1 takes `a` then `b`, thread 2
 /// takes `b` then `a` — deadlock only when both first acquisitions land
 /// before either second one.
-pub fn lock_inversion() -> &'static str {
+pub(crate) fn lock_inversion() -> &'static str {
     r#"
         var a;
         var b;
@@ -179,7 +179,7 @@ pub fn channel_drain_race() -> &'static str {
 /// unsynchronized write — clean (the channel's happens-before edges order
 /// everything), but full of dependent send/recv pairs for reduction to
 /// reason about.
-pub fn mini_channel_pipeline() -> &'static str {
+pub(crate) fn mini_channel_pipeline() -> &'static str {
     r#"
         var done = 0;
         var c;

@@ -13,7 +13,7 @@ use std::collections::{HashMap, VecDeque};
 
 /// A grow-on-demand vector clock.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct VectorClock(Vec<u64>);
+pub(crate) struct VectorClock(Vec<u64>);
 
 impl VectorClock {
     /// Component `i` (0 if never set).
@@ -83,7 +83,7 @@ pub struct Race {
 
 /// The happens-before engine.
 #[derive(Debug, Clone, Default)]
-pub struct RaceDetector {
+pub(crate) struct RaceDetector {
     clocks: Vec<VectorClock>,
     inited: Vec<bool>,
     mutex_vc: HashMap<usize, VectorClock>,

@@ -38,7 +38,7 @@ mod clocks;
 mod explore;
 mod pool;
 
-pub use clocks::{AccessKind, Race, RaceDetector, VectorClock};
+pub use clocks::{AccessKind, Race};
 pub use pool::Pool;
 
 use explore::Stop;

@@ -16,7 +16,7 @@ use std::fmt;
 
 /// Coherence state of one cache line (MESI).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LineState {
+pub(crate) enum LineState {
     /// Dirty and exclusive to one cache.
     Modified,
     /// Clean and exclusive to one cache.
@@ -96,9 +96,9 @@ impl CoherenceStats {
     }
 }
 
-/// Access latencies in cycles, tunable per machine class.
+/// Access latencies in cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheLatency {
+pub(crate) struct CacheLatency {
     /// Local cache hit.
     pub hit_cycles: u64,
     /// Cache-to-cache transfer.
@@ -138,92 +138,6 @@ pub struct CacheSystem {
     /// line address -> per-core state (absent entries are Invalid).
     lines: HashMap<u64, Vec<LineState>>,
     stats: CoherenceStats,
-    metrics: Option<CacheMetrics>,
-}
-
-/// Registry counters mirroring [`CoherenceStats`], labeled by segment.
-#[derive(Debug, Clone)]
-struct CacheMetrics {
-    read_hits: obs::Counter,
-    read_misses: obs::Counter,
-    write_hits: obs::Counter,
-    write_misses: obs::Counter,
-    invalidations: obs::Counter,
-    writebacks: obs::Counter,
-    interventions: obs::Counter,
-    bus_transactions: obs::Counter,
-}
-
-impl CacheMetrics {
-    fn new(o: &obs::Obs, segment: &str) -> CacheMetrics {
-        let m = &o.metrics;
-        m.describe(
-            "ccp_cluster_cache_hits_total",
-            "cache hits by access kind and segment",
-        );
-        m.describe(
-            "ccp_cluster_cache_misses_total",
-            "cache misses by access kind and segment",
-        );
-        m.describe(
-            "ccp_cluster_cache_invalidations_total",
-            "coherence invalidations by segment",
-        );
-        m.describe(
-            "ccp_cluster_cache_writebacks_total",
-            "dirty-line writebacks by segment",
-        );
-        m.describe(
-            "ccp_cluster_cache_interventions_total",
-            "cache-to-cache transfers by segment",
-        );
-        m.describe(
-            "ccp_cluster_cache_bus_transactions_total",
-            "snoop bus transactions by segment",
-        );
-        let s = segment;
-        CacheMetrics {
-            read_hits: m.counter(
-                "ccp_cluster_cache_hits_total",
-                &[("kind", "read"), ("segment", s)],
-            ),
-            read_misses: m.counter(
-                "ccp_cluster_cache_misses_total",
-                &[("kind", "read"), ("segment", s)],
-            ),
-            write_hits: m.counter(
-                "ccp_cluster_cache_hits_total",
-                &[("kind", "write"), ("segment", s)],
-            ),
-            write_misses: m.counter(
-                "ccp_cluster_cache_misses_total",
-                &[("kind", "write"), ("segment", s)],
-            ),
-            invalidations: m.counter("ccp_cluster_cache_invalidations_total", &[("segment", s)]),
-            writebacks: m.counter("ccp_cluster_cache_writebacks_total", &[("segment", s)]),
-            interventions: m.counter("ccp_cluster_cache_interventions_total", &[("segment", s)]),
-            bus_transactions: m.counter(
-                "ccp_cluster_cache_bus_transactions_total",
-                &[("segment", s)],
-            ),
-        }
-    }
-
-    /// Forward the stat movement from one access onto the registry.
-    fn apply_delta(&self, before: &CoherenceStats, after: &CoherenceStats) {
-        self.read_hits.add(after.read_hits - before.read_hits);
-        self.read_misses.add(after.read_misses - before.read_misses);
-        self.write_hits.add(after.write_hits - before.write_hits);
-        self.write_misses
-            .add(after.write_misses - before.write_misses);
-        self.invalidations
-            .add(after.invalidations - before.invalidations);
-        self.writebacks.add(after.writebacks - before.writebacks);
-        self.interventions
-            .add(after.interventions - before.interventions);
-        self.bus_transactions
-            .add(after.bus_transactions - before.bus_transactions);
-    }
 }
 
 impl CacheSystem {
@@ -241,20 +155,7 @@ impl CacheSystem {
             latency: CacheLatency::default(),
             lines: HashMap::new(),
             stats: CoherenceStats::default(),
-            metrics: None,
         }
-    }
-
-    /// Override the latency model.
-    pub fn with_latency(mut self, latency: CacheLatency) -> CacheSystem {
-        self.latency = latency;
-        self
-    }
-
-    /// Mirror this system's coherence stats into a metrics registry, labeled
-    /// with `segment` (e.g. `"0"`, or a lab name for standalone systems).
-    pub fn attach_obs(&mut self, obs: &obs::Obs, segment: &str) {
-        self.metrics = Some(CacheMetrics::new(obs, segment));
     }
 
     /// Number of cores.
@@ -267,13 +168,8 @@ impl CacheSystem {
         &self.stats
     }
 
-    /// Reset statistics, keeping cache contents.
-    pub fn reset_stats(&mut self) {
-        self.stats = CoherenceStats::default();
-    }
-
     /// Current state of `addr`'s line in `core`'s cache.
-    pub fn line_state(&self, core: usize, addr: u64) -> LineState {
+    pub(crate) fn line_state(&self, core: usize, addr: u64) -> LineState {
         let line = addr & !(self.line_size - 1);
         self.lines
             .get(&line)
@@ -291,19 +187,14 @@ impl CacheSystem {
             .lines
             .entry(line)
             .or_insert_with(|| vec![LineState::Invalid; self.cores]);
-        let before = self.metrics.as_ref().map(|_| self.stats.clone());
-        let latency = match self.protocol {
+        match self.protocol {
             CoherenceProtocol::Mesi => {
                 Self::access_mesi(states, core, kind, &mut self.stats, self.latency)
             }
             CoherenceProtocol::WriteThrough => {
                 Self::access_wt(states, core, kind, &mut self.stats, self.latency)
             }
-        };
-        if let (Some(m), Some(before)) = (&self.metrics, before) {
-            m.apply_delta(&before, &self.stats);
         }
-        latency
     }
 
     fn access_mesi(
@@ -461,17 +352,6 @@ impl CacheSystem {
         }
     }
 
-    /// Run a trace of `(core, addr, kind)` accesses, returning total cycles.
-    pub fn run_trace<I>(&mut self, trace: I) -> u64
-    where
-        I: IntoIterator<Item = (usize, u64, AccessKind)>,
-    {
-        trace
-            .into_iter()
-            .map(|(c, a, k)| self.access(c, a, k))
-            .sum()
-    }
-
     /// MESI invariant: a Modified or Exclusive line has no other valid copy.
     /// Exposed for property tests.
     pub fn check_invariants(&self) -> bool {
@@ -596,8 +476,10 @@ mod tests {
             .collect();
         let mut mesi = CacheSystem::new(4, 64, CoherenceProtocol::Mesi);
         let mut wt = CacheSystem::new(4, 64, CoherenceProtocol::WriteThrough);
-        mesi.run_trace(trace.clone());
-        wt.run_trace(trace);
+        for &(core, addr, kind) in &trace {
+            mesi.access(core, addr, kind);
+            wt.access(core, addr, kind);
+        }
         assert!(
             wt.stats().bus_transactions > mesi.stats().bus_transactions,
             "write-through {} <= MESI {}",
@@ -607,53 +489,8 @@ mod tests {
     }
 
     #[test]
-    fn stats_reset_preserves_contents() {
-        let mut sys = CacheSystem::new(2, 64, CoherenceProtocol::Mesi);
-        sys.access(0, 0, AccessKind::Write);
-        sys.reset_stats();
-        assert_eq!(sys.stats().accesses(), 0);
-        assert_eq!(sys.line_state(0, 0), LineState::Modified);
-    }
-
-    #[test]
     fn hit_rate_empty_trace() {
         let sys = CacheSystem::new(1, 64, CoherenceProtocol::Mesi);
         assert_eq!(sys.stats().hit_rate(), 1.0);
-    }
-
-    #[test]
-    fn obs_mirrors_coherence_stats() {
-        let obs = obs::Obs::new();
-        let mut sys = CacheSystem::new(4, 64, CoherenceProtocol::Mesi);
-        sys.attach_obs(&obs, "2");
-        for c in 0..4 {
-            sys.access(c, 0, AccessKind::Read);
-        }
-        sys.access(2, 0, AccessKind::Write);
-        let seg = ("segment", "2");
-        assert_eq!(
-            obs.metrics
-                .counter("ccp_cluster_cache_invalidations_total", &[seg])
-                .get(),
-            sys.stats().invalidations
-        );
-        assert_eq!(
-            obs.metrics
-                .counter("ccp_cluster_cache_hits_total", &[("kind", "read"), seg])
-                .get(),
-            sys.stats().read_hits
-        );
-        assert_eq!(
-            obs.metrics
-                .counter("ccp_cluster_cache_misses_total", &[("kind", "read"), seg])
-                .get(),
-            sys.stats().read_misses
-        );
-        assert_eq!(
-            obs.metrics
-                .counter("ccp_cluster_cache_bus_transactions_total", &[seg])
-                .get(),
-            sys.stats().bus_transactions
-        );
     }
 }

@@ -1,11 +1,11 @@
 //! Failure injection: scripted node outages for scheduler robustness tests.
 //!
 //! A [`FaultPlan`] is a deterministic script of health transitions indexed
-//! by a logical tick; [`FaultedCluster`] wraps a [`Cluster`] and applies due
-//! transitions as the driver advances time. Used by `sched` tests and the
+//! by a logical tick; the scheduler (`sched::Scheduler::with_fault_plan`)
+//! applies due transitions as it ticks. Used by `sched` tests and the
 //! failure-injection integration tests.
 
-use crate::machine::{Cluster, ClusterError, NodeHealth, SlaveId};
+use crate::machine::{NodeHealth, SlaveId};
 use rng::SplitMix64;
 
 /// One scripted transition.
@@ -84,103 +84,11 @@ impl FaultPlan {
     }
 }
 
-/// A cluster plus a fault script and a logical clock.
-#[derive(Debug)]
-pub struct FaultedCluster {
-    cluster: Cluster,
-    plan: Vec<FaultEvent>,
-    tick: u64,
-    applied: usize,
-}
-
-impl FaultedCluster {
-    /// Wrap `cluster` with `plan`; the script is sorted by tick (stable, so
-    /// same-tick events apply in insertion order).
-    pub fn new(cluster: Cluster, plan: FaultPlan) -> FaultedCluster {
-        let mut events = plan.events;
-        events.sort_by_key(|e| e.at_tick);
-        FaultedCluster {
-            cluster,
-            plan: events,
-            tick: 0,
-            applied: 0,
-        }
-    }
-
-    /// The wrapped cluster.
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
-    /// Mutable access (allocation/release still goes through the cluster).
-    pub fn cluster_mut(&mut self) -> &mut Cluster {
-        &mut self.cluster
-    }
-
-    /// Current logical tick.
-    pub fn tick(&self) -> u64 {
-        self.tick
-    }
-
-    /// Advance the logical clock to `tick`, applying all due transitions.
-    /// Returns the transitions applied. Ticks never move backwards.
-    pub fn advance_to(&mut self, tick: u64) -> Result<Vec<FaultEvent>, ClusterError> {
-        if tick > self.tick {
-            self.tick = tick;
-        }
-        let mut fired = Vec::new();
-        while self.applied < self.plan.len() && self.plan[self.applied].at_tick <= self.tick {
-            let ev = self.plan[self.applied];
-            self.cluster.set_health(ev.node, ev.health)?;
-            fired.push(ev);
-            self.applied += 1;
-        }
-        Ok(fired)
-    }
-
-    /// Remaining scripted events.
-    pub fn pending(&self) -> usize {
-        self.plan.len() - self.applied
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::Cluster;
     use crate::spec::ClusterSpec;
-
-    #[test]
-    fn plan_applies_in_tick_order() {
-        let c = Cluster::new(ClusterSpec::small(1, 2));
-        let ids = c.slave_ids();
-        let mut plan = FaultPlan::none();
-        plan.push(10, ids[0], NodeHealth::Down);
-        plan.push(5, ids[1], NodeHealth::Draining);
-        plan.push(20, ids[0], NodeHealth::Up);
-        let mut fc = FaultedCluster::new(c, plan);
-
-        let fired = fc.advance_to(5).unwrap();
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fc.cluster().health(ids[1]).unwrap(), NodeHealth::Draining);
-
-        let fired = fc.advance_to(15).unwrap();
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fc.cluster().health(ids[0]).unwrap(), NodeHealth::Down);
-        assert_eq!(fc.pending(), 1);
-
-        fc.advance_to(100).unwrap();
-        assert_eq!(fc.cluster().health(ids[0]).unwrap(), NodeHealth::Up);
-        assert_eq!(fc.pending(), 0);
-    }
-
-    #[test]
-    fn clock_does_not_rewind() {
-        let c = Cluster::new(ClusterSpec::small(1, 1));
-        let mut fc = FaultedCluster::new(c, FaultPlan::none());
-        fc.advance_to(50).unwrap();
-        fc.advance_to(10).unwrap();
-        assert_eq!(fc.tick(), 50);
-    }
 
     #[test]
     fn random_plan_is_deterministic() {
@@ -217,17 +125,5 @@ mod tests {
         // Asking for more outages than nodes exist clamps to the node count.
         let p = FaultPlan::random_outages(&ids, 100, 100, 10, 7);
         assert_eq!(p.len(), ids.len() * 2);
-    }
-
-    #[test]
-    fn capacity_drops_during_outage() {
-        let c = Cluster::new(ClusterSpec::small(1, 2));
-        let ids = c.slave_ids();
-        let mut plan = FaultPlan::none();
-        plan.push(1, ids[0], NodeHealth::Down);
-        let mut fc = FaultedCluster::new(c, plan);
-        let before = fc.cluster().total_cores();
-        fc.advance_to(1).unwrap();
-        assert_eq!(fc.cluster().total_cores(), before - 4);
     }
 }

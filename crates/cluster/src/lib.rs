@@ -11,7 +11,6 @@
 //! * [`cache`] — a MESI (and write-through, for ablation) cache-coherence
 //!   simulator with invalidation/traffic counters (Lab 2's substrate);
 //! * [`memory`] — the UMA/NUMA memory-access cost model (Lab 3's substrate);
-//! * [`accel`] — a SIMD accelerator ("GPU machine") kernel cost model;
 //! * [`faults`] — failure injection for scheduler robustness tests.
 //!
 //! ```
@@ -19,13 +18,12 @@
 //!
 //! let spec = ClusterSpec::uhd();
 //! let mut cluster = Cluster::new(spec);
-//! assert_eq!(cluster.total_nodes(), 69);     // 1 head + 4*(1+16)
+//! assert_eq!(cluster.network().topology().len(), 69); // 1 head + 4*(1+16)
 //! assert!(cluster.total_cores() > 0);
 //! let alloc = cluster.allocate_cores(8).unwrap();
 //! cluster.release(&alloc);
 //! ```
 
-pub mod accel;
 pub mod cache;
 pub mod faults;
 pub mod machine;
@@ -34,11 +32,10 @@ pub mod spec;
 
 /// Common re-exports.
 pub mod prelude {
-    pub use crate::accel::{Accelerator, KernelProfile};
-    pub use crate::cache::{AccessKind, CacheSystem, CoherenceProtocol, CoherenceStats, LineState};
-    pub use crate::faults::{FaultEvent, FaultPlan, FaultedCluster};
+    pub use crate::cache::{AccessKind, CacheSystem, CoherenceProtocol, CoherenceStats};
+    pub use crate::faults::{FaultEvent, FaultPlan};
     pub use crate::machine::{Allocation, Cluster, ClusterError, NodeHealth, SlaveId};
-    pub use crate::memory::{MemoryDomain, MemorySystem, NumaCostModel};
+    pub use crate::memory::{MemoryDomain, MemorySystem};
     pub use crate::spec::{ClusterSpec, NodeClass, NodeSpec, SegmentSpec};
 }
 

@@ -4,9 +4,9 @@
 //! Identity scheme: every slave node has a [`SlaveId`] `(segment, slot)`;
 //! mapping to network node ids goes through the spec-built topology.
 
-use crate::spec::{ClusterSpec, NodeClass, NodeSpec};
+use crate::spec::{ClusterSpec, NodeSpec};
 use obs::Obs;
-use simnet::{Network, NodeId};
+use simnet::Network;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -243,19 +243,9 @@ impl Cluster {
         &self.spec
     }
 
-    /// The interconnect model (mutable for traffic accounting).
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.network
-    }
-
     /// The interconnect model.
     pub fn network(&self) -> &Network {
         &self.network
-    }
-
-    /// Total nodes in the fabric (head + masters + slaves).
-    pub fn total_nodes(&self) -> usize {
-        self.network.topology().len()
     }
 
     /// Total schedulable cores on Up slaves.
@@ -325,24 +315,6 @@ impl Cluster {
         self.nodes
             .get(&id)
             .map(|n| &n.spec)
-            .ok_or(ClusterError::NoSuchNode(id))
-    }
-
-    /// Free cores on one node (0 if not Up).
-    pub fn node_free_cores(&self, id: SlaveId) -> Result<u32, ClusterError> {
-        let n = self.nodes.get(&id).ok_or(ClusterError::NoSuchNode(id))?;
-        Ok(if n.health == NodeHealth::Up {
-            n.spec.cores - n.busy_cores
-        } else {
-            0
-        })
-    }
-
-    /// Map a slave id to its network node id.
-    pub fn network_id(&self, id: SlaveId) -> Result<NodeId, ClusterError> {
-        self.network
-            .topology()
-            .segment_slave(id.segment, id.slot)
             .ok_or(ClusterError::NoSuchNode(id))
     }
 
@@ -462,29 +434,20 @@ impl Cluster {
         }
         occupied
     }
-
-    /// Find the accelerator node, if the spec includes one.
-    pub fn accelerator_node(&self) -> Option<SlaveId> {
-        self.nodes
-            .iter()
-            .find(|(_, n)| n.spec.class == NodeClass::Accelerator)
-            .map(|(id, _)| *id)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::ClusterSpec;
+    use crate::spec::{ClusterSpec, NodeClass};
 
     #[test]
     fn boot_counts() {
         let c = Cluster::new(ClusterSpec::uhd());
-        assert_eq!(c.total_nodes(), 69);
+        assert_eq!(c.network().topology().len(), 69);
         assert_eq!(c.total_cores(), 192);
         assert_eq!(c.free_cores(), 192);
         assert_eq!(c.utilization(), 0.0);
-        assert!(c.accelerator_node().is_some());
     }
 
     #[test]
@@ -576,17 +539,6 @@ mod tests {
         assert_eq!(a.node_count(), 1);
         let id = *a.cores.keys().next().unwrap();
         assert_eq!(c.node_spec(id).unwrap().class, NodeClass::Accelerator);
-    }
-
-    #[test]
-    fn network_id_roundtrip() {
-        let c = Cluster::new(ClusterSpec::uhd());
-        let id = SlaveId {
-            segment: 2,
-            slot: 5,
-        };
-        let nid = c.network_id(id).unwrap();
-        assert_eq!(c.network().topology().segment_of(nid), Some(2));
     }
 
     #[test]

@@ -43,7 +43,7 @@ impl fmt::Display for MemoryDomain {
 
 /// Nanosecond costs per domain (excluding the network part of RemoteNode).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NumaCostModel {
+pub(crate) struct NumaCostModel {
     /// Cache hit.
     pub cache_ns: u64,
     /// Local DRAM access.
@@ -106,12 +106,6 @@ impl MemorySystem {
         }
     }
 
-    /// Override the cost model.
-    pub fn with_cost(mut self, cost: NumaCostModel) -> MemorySystem {
-        self.cost = cost;
-        self
-    }
-
     /// Total cores.
     pub fn cores(&self) -> usize {
         self.sockets * self.cores_per_socket
@@ -123,7 +117,7 @@ impl MemorySystem {
     }
 
     /// Which socket a core sits on.
-    pub fn socket_of_core(&self, core: usize) -> usize {
+    pub(crate) fn socket_of_core(&self, core: usize) -> usize {
         core / self.cores_per_socket
     }
 

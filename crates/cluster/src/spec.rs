@@ -7,7 +7,7 @@
 
 use simnet::{LinkProfile, Network, Topology};
 
-/// The broad class of a node, which fixes its default core count and clock.
+/// The broad class of a node, which fixes its default core count and memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeClass {
     /// A dual-core compute node (the older segments).
@@ -16,39 +16,15 @@ pub enum NodeClass {
     QuadCore,
     /// The SIMD accelerator ("GPU machine").
     Accelerator,
-    /// A segment master or the grid head node: schedulable for service work
-    /// only, not for compute jobs.
-    Master,
 }
 
 impl NodeClass {
     /// Default number of schedulable cores for the class.
-    pub fn default_cores(self) -> u32 {
+    pub(crate) fn default_cores(self) -> u32 {
         match self {
             NodeClass::DuoCore => 2,
             NodeClass::QuadCore => 4,
             NodeClass::Accelerator => 4,
-            NodeClass::Master => 0,
-        }
-    }
-
-    /// Nominal clock in MHz, used by the compute cost model.
-    pub fn clock_mhz(self) -> u32 {
-        match self {
-            NodeClass::DuoCore => 2_000,
-            NodeClass::QuadCore => 2_600,
-            NodeClass::Accelerator => 1_200,
-            NodeClass::Master => 2_000,
-        }
-    }
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            NodeClass::DuoCore => "duo-core",
-            NodeClass::QuadCore => "quad-core",
-            NodeClass::Accelerator => "accelerator",
-            NodeClass::Master => "master",
         }
     }
 }
@@ -56,7 +32,7 @@ impl NodeClass {
 /// Specification of one physical node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeSpec {
-    /// Node class (duo/quad/accelerator/master).
+    /// Node class (duo/quad/accelerator).
     pub class: NodeClass,
     /// Schedulable cores.
     pub cores: u32,
@@ -66,12 +42,11 @@ pub struct NodeSpec {
 
 impl NodeSpec {
     /// A node of `class` with its class defaults.
-    pub fn of_class(class: NodeClass) -> NodeSpec {
+    pub(crate) fn of_class(class: NodeClass) -> NodeSpec {
         let memory_mib = match class {
             NodeClass::DuoCore => 2_048,
             NodeClass::QuadCore => 8_192,
             NodeClass::Accelerator => 4_096,
-            NodeClass::Master => 16_384,
         };
         NodeSpec {
             class,
@@ -92,7 +67,7 @@ pub struct SegmentSpec {
 
 impl SegmentSpec {
     /// A homogeneous segment of `n` slaves of `class`.
-    pub fn homogeneous(name: impl Into<String>, class: NodeClass, n: usize) -> SegmentSpec {
+    pub(crate) fn homogeneous(name: impl Into<String>, class: NodeClass, n: usize) -> SegmentSpec {
         SegmentSpec {
             name: name.into(),
             slaves: vec![NodeSpec::of_class(class); n],
@@ -155,17 +130,12 @@ impl ClusterSpec {
 
     /// Maximum slave count across segments (the topology is built with this
     /// uniform width; missing slots are marked permanently down).
-    pub fn max_slaves(&self) -> usize {
+    pub(crate) fn max_slaves(&self) -> usize {
         self.segments
             .iter()
             .map(|s| s.slaves.len())
             .max()
             .unwrap_or(0)
-    }
-
-    /// Total slave nodes.
-    pub fn total_slaves(&self) -> usize {
-        self.segments.iter().map(|s| s.slaves.len()).sum()
     }
 
     /// Total schedulable cores across all slaves.
@@ -179,7 +149,7 @@ impl ClusterSpec {
 
     /// Build the simnet [`Network`] matching this spec, with tiered link
     /// profiles (intra-segment vs uplink).
-    pub fn build_network(&self) -> Network {
+    pub(crate) fn build_network(&self) -> Network {
         let topo =
             Topology::segmented_cluster(self.segment_count().max(1), self.max_slaves().max(1));
         let mut net = Network::new(topo, self.intra_segment_link);
@@ -200,7 +170,10 @@ mod tests {
     fn uhd_matches_paper_shape() {
         let s = ClusterSpec::uhd();
         assert_eq!(s.segment_count(), 4);
-        assert_eq!(s.total_slaves(), 64);
+        assert_eq!(
+            s.segments.iter().map(|seg| seg.slaves.len()).sum::<usize>(),
+            64
+        );
         // 2 segments x 16 x 2 cores + 1 segment x 16 x 4 + (15 x 4 + 4 accel)
         assert_eq!(s.total_cores(), 64 + 64 + 64);
         let accel: Vec<_> = s
@@ -217,21 +190,22 @@ mod tests {
         let s = ClusterSpec::uhd();
         let net = s.build_network();
         assert_eq!(net.topology().len(), 69);
-        assert!(net.is_cluster_fabric());
     }
 
     #[test]
     fn class_defaults() {
         assert_eq!(NodeClass::DuoCore.default_cores(), 2);
         assert_eq!(NodeClass::QuadCore.default_cores(), 4);
-        assert_eq!(NodeClass::Master.default_cores(), 0);
         assert_eq!(NodeSpec::of_class(NodeClass::QuadCore).memory_mib, 8_192);
     }
 
     #[test]
     fn small_cluster_helper() {
         let s = ClusterSpec::small(2, 3);
-        assert_eq!(s.total_slaves(), 6);
+        assert_eq!(
+            s.segments.iter().map(|seg| seg.slaves.len()).sum::<usize>(),
+            6
+        );
         assert_eq!(s.total_cores(), 24);
         assert_eq!(s.build_network().topology().len(), 1 + 2 * 4);
     }

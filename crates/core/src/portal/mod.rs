@@ -40,7 +40,9 @@ use wal::{FsyncPolicy, Journal, RecoveryReport};
 pub struct PortalConfig {
     /// Hardware to boot.
     pub cluster: ClusterSpec,
-    /// Seed for token generation and password salts.
+    /// Seed for job execution: the distributor runs job `id` under VM seed
+    /// `seed ^ id`. Session tokens and password salts come from OS
+    /// entropy, never from this seed.
     pub seed: u64,
     /// How many VM instructions equal one scheduler tick when deriving a
     /// dispatched job's runtime.
@@ -198,8 +200,8 @@ impl Portal {
         };
 
         Portal {
-            users: UserStore::new(config.seed),
-            sessions: SessionManager::new(SESSION_TTL, config.seed.wrapping_add(1)),
+            users: UserStore::new(),
+            sessions: SessionManager::new(SESSION_TTL),
             fs: Arc::new(Mutex::new(fs)),
             artifacts: ArtifactStore::new(),
             scheduler,

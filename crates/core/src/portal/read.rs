@@ -165,15 +165,6 @@ impl Portal {
         self.scheduler.publish_gauges();
     }
 
-    /// Prometheus text exposition of every registered metric. Gauges are
-    /// republished from live state first, so scrapes never see stale depth
-    /// or core counts. (The web layer prefers [`Portal::publish_gauges`] +
-    /// an unlocked render; this stays for direct library callers.)
-    pub fn metrics_text(&self) -> String {
-        self.publish_gauges();
-        self.obs.metrics.render()
-    }
-
     /// Health snapshot for `/api/health`: the per-node rows, the summary
     /// counts, and the queue/running gauges — one cluster walk, so the
     /// degraded flag and the counts cannot disagree.

@@ -13,7 +13,7 @@ const USER_QUOTA: u64 = 16 << 20;
 /// Everything a long-running operation needs to remember about the
 /// session that started it. Captured under the portal lock by the
 /// `*_begin` methods, carried through the unlocked middle phase, and
-/// re-validated by [`Portal::check_stamp`] before any result is applied.
+/// re-validated by `Portal::check_stamp` before any result is applied.
 ///
 /// The `generation` is the session's issue-order stamp: tokens are never
 /// reused, so a matching token with a different generation (or no session
@@ -78,7 +78,7 @@ impl Portal {
     /// longer exists: expired, logged out, or revoked and re-issued
     /// mid-flight (the generation check catches the last case even
     /// though tokens are never reused — belt and braces).
-    pub fn check_stamp(&self, stamp: &SessionStamp, now: u64) -> Result<(), PortalError> {
+    pub(crate) fn check_stamp(&self, stamp: &SessionStamp, now: u64) -> Result<(), PortalError> {
         let s = self.sessions.validate(&stamp.token, now)?;
         if s.generation != stamp.generation || s.username != stamp.user {
             return Err(PortalError::Session(SessionError::InvalidToken));

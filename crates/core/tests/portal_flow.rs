@@ -53,6 +53,30 @@ fn session_expiry_enforced() {
     assert!(matches!(p.whoami(&t, 4000), Err(PortalError::Session(_))));
 }
 
+/// Two portals booted from the same default configuration never share a
+/// session token: token entropy comes from the OS, not from the config's
+/// seed, so one deployment's admin token is worthless at another.
+#[test]
+fn two_default_portals_never_share_a_token() {
+    let boot = || {
+        let mut p = Portal::new(PortalConfig::default());
+        p.bootstrap_admin("admin", "change-me-please").unwrap();
+        p
+    };
+    let (mut a, mut b) = (boot(), boot());
+    let ta = a.login("admin", "change-me-please", 0).unwrap();
+    let tb = b.login("admin", "change-me-please", 0).unwrap();
+    assert_ne!(ta, tb);
+    assert!(
+        a.whoami(&tb, 1).is_err(),
+        "portal a accepted portal b's token"
+    );
+    assert!(
+        b.whoami(&ta, 1).is_err(),
+        "portal b accepted portal a's token"
+    );
+}
+
 #[test]
 fn logout_invalidates() {
     let mut p = portal();
@@ -581,7 +605,8 @@ fn metrics_text_covers_every_instrumented_layer() {
         p.job(&t, id, 0).unwrap().state,
         JobState::Completed { .. }
     ));
-    let text = p.metrics_text();
+    p.publish_gauges();
+    let text = p.obs().metrics.render();
     for needle in [
         "ccp_sched_jobs_submitted_total 1",
         "ccp_sched_jobs_completed_total 1",

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 /// Percent-decode a urlencoded component (`+` means space).
-pub fn url_decode(s: &str) -> String {
+pub(crate) fn url_decode(s: &str) -> String {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
@@ -36,21 +36,6 @@ pub fn url_decode(s: &str) -> String {
         }
     }
     String::from_utf8_lossy(&out).into_owned()
-}
-
-/// Percent-encode a component for safe embedding in URLs and forms.
-pub fn url_encode(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
-                out.push(b as char)
-            }
-            b' ' => out.push('+'),
-            other => out.push_str(&format!("%{other:02X}")),
-        }
-    }
-    out
 }
 
 /// Parse `a=1&b=two` into a map (later keys win; keys without `=` map to "").
@@ -91,18 +76,6 @@ mod tests {
         // Malformed escapes pass through.
         assert_eq!(url_decode("100%"), "100%");
         assert_eq!(url_decode("%zz"), "%zz");
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        for s in [
-            "hello world",
-            "/home/alice/lab 1.mini",
-            "a=b&c=d",
-            "naïve ☃",
-        ] {
-            assert_eq!(url_decode(&url_encode(s)), s, "{s}");
-        }
     }
 
     #[test]

@@ -54,8 +54,6 @@ impl Status {
     pub const OK: Status = Status(200);
     /// 201
     pub const CREATED: Status = Status(201);
-    /// 204
-    pub const NO_CONTENT: Status = Status(204);
     /// 302
     pub const FOUND: Status = Status(302);
     /// 400
@@ -67,7 +65,7 @@ impl Status {
     /// 404
     pub const NOT_FOUND: Status = Status(404);
     /// 405
-    pub const METHOD_NOT_ALLOWED: Status = Status(405);
+    pub(crate) const METHOD_NOT_ALLOWED: Status = Status(405);
     /// 408
     pub const REQUEST_TIMEOUT: Status = Status(408);
     /// 409
@@ -79,7 +77,7 @@ impl Status {
     /// 500
     pub const INTERNAL: Status = Status(500);
     /// 503
-    pub const SERVICE_UNAVAILABLE: Status = Status(503);
+    pub(crate) const SERVICE_UNAVAILABLE: Status = Status(503);
 
     /// Canonical reason phrase.
     pub fn reason(self) -> &'static str {
@@ -160,13 +158,13 @@ pub const MAX_BODY: usize = 8 << 20;
 /// The interim response to `Expect: 100-continue`: the client may send
 /// its body. Written raw, since a 1xx response carries no
 /// `Content-Length` (see [`Request::awaits_continue`]).
-pub const CONTINUE: &[u8] = b"HTTP/1.1 100 Continue\r\n\r\n";
+pub(crate) const CONTINUE: &[u8] = b"HTTP/1.1 100 Continue\r\n\r\n";
 
 /// Maximum accepted head (request line + headers): 32 KiB.
 /// [`Request::parse_bytes`] enforces it, so a client can never make either
 /// engine buffer an endless head; the read deadline bounds how long it
 /// may take to send one.
-pub const MAX_HEAD: usize = 32 << 10;
+pub(crate) const MAX_HEAD: usize = 32 << 10;
 
 impl Request {
     /// Incrementally parse one request from `buf` (the bytes received so
@@ -192,7 +190,7 @@ impl Request {
     /// it sends the body: the head is whole, carries
     /// `Expect: 100-continue` and declares a body within `max_body` that
     /// has not all arrived.
-    pub fn awaits_continue(buf: &[u8], max_body: usize) -> bool {
+    pub(crate) fn awaits_continue(buf: &[u8], max_body: usize) -> bool {
         matches!(
             Request::parse_head(buf, max_body),
             Ok(Some((req, head_len, body_len)))
@@ -295,7 +293,7 @@ impl Request {
     /// the socket open only on an explicit `Connection: keep-alive`, so
     /// clients that read to EOF (curl-style one-shots, every pre-reactor
     /// test) still get the close they expect.
-    pub fn wants_keep_alive(&self) -> bool {
+    pub(crate) fn wants_keep_alive(&self) -> bool {
         self.header("connection")
             .is_some_and(|v| v.eq_ignore_ascii_case("keep-alive"))
     }
@@ -416,7 +414,7 @@ impl Response {
 
     /// Serialize onto a socket (always `Connection: close` — the blocking
     /// engine never reuses connections).
-    pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
+    pub(crate) fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
         let mut out = Vec::with_capacity(256 + self.body.len());
         self.write_into(&mut out, false);
         w.write_all(&out)?;

@@ -87,7 +87,7 @@ impl Json {
         }
     }
 
-    /// Parse JSON text, nested at most [`MAX_DEPTH`] arrays/objects deep.
+    /// Parse JSON text, nested at most `MAX_DEPTH` arrays/objects deep.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = JsonParser {
             text,
@@ -141,7 +141,7 @@ impl std::error::Error for JsonError {}
 /// recurses once per level, and request bodies come from unauthenticated
 /// clients: without a cap, a body of `[`s overflows the worker's stack and
 /// aborts the process.
-pub const MAX_DEPTH: usize = 64;
+pub(crate) const MAX_DEPTH: usize = 64;
 
 struct JsonParser<'a> {
     text: &'a str,

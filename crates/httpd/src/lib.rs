@@ -6,7 +6,7 @@
 //! portal needs, from `std::net` up:
 //!
 //! * [`http`] — incremental request parsing (one parser for both
-//!   engines, capped at [`http::MAX_HEAD`] and a body limit) / response
+//!   engines, capped at `http::MAX_HEAD` and a body limit) / response
 //!   serialization, status codes;
 //! * [`router`] — method + path-pattern routing with `:param` captures;
 //! * [`server`] — the front end: an epoll reactor with an M:N green-task

@@ -453,7 +453,6 @@ fn admit(core: &Core, stream: TcpStream) {
 }
 
 fn shed(core: &Core, stream: TcpStream) {
-    core.shared.shed.fetch_add(1, Ordering::Relaxed);
     if let Some(o) = core.obs.as_deref() {
         if let Some(m) = &core.metrics {
             m.shed.inc();

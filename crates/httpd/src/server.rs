@@ -71,7 +71,7 @@ impl Default for ServerConfig {
 
 /// How long [`ServerHandle::shutdown`] waits for in-flight requests to
 /// finish before giving up on them (both engines).
-pub const DRAIN_GRACE: Duration = Duration::from_secs(5);
+pub(crate) const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
 /// Counters both engines publish and [`ServerHandle`] reads.
 #[derive(Default)]
@@ -80,8 +80,6 @@ pub(crate) struct Shared {
     pub(crate) stop: AtomicBool,
     /// Responses completed (everything except shed 503s).
     pub(crate) served: AtomicU64,
-    /// Connections shed with 503 at the capacity budget.
-    pub(crate) shed: AtomicU64,
     /// Requests currently mid-flight.
     pub(crate) active: AtomicUsize,
     /// Open (admitted) connections.
@@ -116,22 +114,12 @@ impl ServerHandle {
         self.shared.served.load(Ordering::Relaxed)
     }
 
-    /// Connections shed with 503 because the server was at capacity.
-    pub fn shed(&self) -> u64 {
-        self.shared.shed.load(Ordering::Relaxed)
-    }
-
-    /// Requests currently being handled.
-    pub fn inflight(&self) -> usize {
-        self.shared.active.load(Ordering::SeqCst)
-    }
-
     /// Open connections (idle keep-alives included).
     pub fn open_connections(&self) -> usize {
         self.shared.open.load(Ordering::SeqCst)
     }
 
-    /// Stop accepting, then wait (bounded by [`DRAIN_GRACE`]) for
+    /// Stop accepting, then wait (bounded by `DRAIN_GRACE`) for
     /// in-flight requests to complete. Never needs to reach the
     /// listener over the network: the reactor is woken by its eventfd and
     /// the thread engine polls its accept loop.
@@ -304,7 +292,6 @@ impl Server {
                 let _ = stream.set_nonblocking(false);
                 if shared2.active.load(Ordering::SeqCst) >= config.max_inflight {
                     shed_connection(stream, &config, obs.as_deref());
-                    shared2.shed.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
                 // Count before spawning so a burst cannot overshoot the cap.
@@ -736,7 +723,7 @@ mod tests {
             .unwrap();
         let addr = h.addr();
         let slow = std::thread::spawn(move || raw_request(addr, "GET /slow HTTP/1.1\r\n\r\n"));
-        while h.inflight() == 0 {
+        while h.shared.active.load(Ordering::SeqCst) == 0 {
             std::thread::sleep(Duration::from_millis(2));
         }
         let started = Instant::now();
@@ -783,7 +770,7 @@ mod tests {
         let holds: Vec<_> = (0..2)
             .map(|_| std::thread::spawn(move || raw_request(addr, "GET /hold HTTP/1.1\r\n\r\n")))
             .collect();
-        while h.inflight() < 2 {
+        while h.shared.active.load(Ordering::SeqCst) < 2 {
             std::thread::sleep(Duration::from_millis(2));
         }
         let ping = b"GET /ping HTTP/1.1\r\nConnection: keep-alive\r\n\r\n";
@@ -892,7 +879,7 @@ mod tests {
         let addr = h.addr();
         // Occupy the single slot with a slow request...
         let hog = std::thread::spawn(move || raw_request(addr, "GET /slow HTTP/1.1\r\n\r\n"));
-        while h.inflight() == 0 {
+        while h.shared.active.load(Ordering::SeqCst) == 0 {
             std::thread::sleep(Duration::from_millis(5));
         }
         // ...then get shed on the next connection.
@@ -903,7 +890,6 @@ mod tests {
         );
         assert!(resp.contains("Retry-After: 1"), "{resp}");
         assert!(hog.join().unwrap().ends_with("done"));
-        assert_eq!(h.shed(), 1);
         // Slot free again: normal service resumes.
         assert!(raw_request(addr, "GET /ping HTTP/1.1\r\n\r\n").ends_with("pong"));
         h.shutdown();
@@ -1001,7 +987,7 @@ mod tests {
             .unwrap();
         let addr = h.addr();
         let hog = std::thread::spawn(move || raw_request(addr, "GET /slow HTTP/1.1\r\n\r\n"));
-        while h.inflight() == 0 {
+        while h.shared.active.load(Ordering::SeqCst) == 0 {
             std::thread::sleep(Duration::from_millis(5));
         }
         let resp = raw_request(addr, "GET /ping HTTP/1.1\r\n\r\n");
@@ -1016,7 +1002,7 @@ mod tests {
         let h = test_server();
         let addr = h.addr();
         let slow = std::thread::spawn(move || raw_request(addr, "GET /slow HTTP/1.1\r\n\r\n"));
-        while h.inflight() == 0 {
+        while h.shared.active.load(Ordering::SeqCst) == 0 {
             std::thread::sleep(Duration::from_millis(5));
         }
         // Shutdown while the request is mid-flight: it must still complete.
@@ -1047,7 +1033,7 @@ mod tests {
             .unwrap();
         assert!(read_response(&mut s).ends_with("pong"));
         let slow = std::thread::spawn(move || raw_request(addr, "GET /slow HTTP/1.1\r\n\r\n"));
-        while h.inflight() == 0 {
+        while h.shared.active.load(Ordering::SeqCst) == 0 {
             std::thread::sleep(Duration::from_millis(2));
         }
         s.write_all(b"GET /ping HTTP/1.1\r\n\r\n").unwrap();
@@ -1099,7 +1085,7 @@ mod tests {
         // Request done, connection idle: still open, no longer inflight.
         // (The worker decrements inflight just after the final flush, so
         // allow it a beat.)
-        while h.inflight() != 0 {
+        while h.shared.active.load(Ordering::SeqCst) != 0 {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(h.open_connections(), 1);

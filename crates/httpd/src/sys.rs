@@ -394,7 +394,12 @@ mod supported {
         }
 
         /// Register `fd` armed for `interest` (one shot).
-        pub fn register_armed(&self, fd: RawFd, interest: Interest, token: u64) -> io::Result<()> {
+        pub(crate) fn register_armed(
+            &self,
+            fd: RawFd,
+            interest: Interest,
+            token: u64,
+        ) -> io::Result<()> {
             imp::epoll_add(self.fd, fd, interest.bits() | imp::EPOLLONESHOT, token)
         }
 
@@ -405,7 +410,7 @@ mod supported {
 
         /// Remove a registration (idempotent-enough: errors ignored by
         /// callers that are closing the fd anyway).
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
+        pub(crate) fn deregister(&self, fd: RawFd) -> io::Result<()> {
             imp::epoll_del(self.fd, fd)
         }
 
@@ -417,7 +422,7 @@ mod supported {
 
         /// [`Epoll::wait`], taking at most `max` events (1..=256) per
         /// call; the rest stay queued for the next waiter.
-        pub fn wait_max(
+        pub(crate) fn wait_max(
             &self,
             out: &mut Vec<Event>,
             timeout_ms: i32,
@@ -448,7 +453,7 @@ mod supported {
     /// the reactor out of `epoll_wait`. Replaces the old "connect a no-op
     /// TCP client to our own listener" shutdown nudge, which hung when the
     /// listener address was unreachable.
-    pub struct Waker {
+    pub(crate) struct Waker {
         fd: RawFd,
     }
 
@@ -485,14 +490,14 @@ mod supported {
 
     /// Whether `fd` is ready for `interest` right now, without waiting.
     /// Errors and hang-ups count as ready, as they do for an epoll event.
-    pub fn ready_now(fd: RawFd, interest: Interest) -> bool {
+    pub(crate) fn ready_now(fd: RawFd, interest: Interest) -> bool {
         imp::poll_now(fd, interest.bits())
     }
 
     /// Raise `RLIMIT_NOFILE` soft → hard (the load generator and the
     /// 100k-session front end both want headroom); returns the resulting
     /// soft limit.
-    pub fn raise_nofile_limit() -> u64 {
+    pub(crate) fn raise_nofile_limit() -> u64 {
         imp::raise_nofile_limit()
     }
 }
@@ -555,7 +560,12 @@ mod unsupported {
         }
 
         /// Unreachable (constructor fails).
-        pub fn register_armed(&self, _fd: RawFd, _i: Interest, _token: u64) -> io::Result<()> {
+        pub(crate) fn register_armed(
+            &self,
+            _fd: RawFd,
+            _i: Interest,
+            _token: u64,
+        ) -> io::Result<()> {
             Err(unsupported())
         }
 
@@ -565,7 +575,7 @@ mod unsupported {
         }
 
         /// Unreachable (constructor fails).
-        pub fn deregister(&self, _fd: RawFd) -> io::Result<()> {
+        pub(crate) fn deregister(&self, _fd: RawFd) -> io::Result<()> {
             Err(unsupported())
         }
 
@@ -575,7 +585,7 @@ mod unsupported {
         }
 
         /// Unreachable (constructor fails).
-        pub fn wait_max(
+        pub(crate) fn wait_max(
             &self,
             _out: &mut Vec<Event>,
             _timeout_ms: i32,
@@ -586,7 +596,7 @@ mod unsupported {
     }
 
     /// See the Linux implementation.
-    pub struct Waker;
+    pub(crate) struct Waker;
 
     impl Waker {
         /// Always fails on this target.
@@ -607,12 +617,12 @@ mod unsupported {
     }
 
     /// Unreachable (no reactor on this target).
-    pub fn ready_now(_fd: RawFd, _interest: Interest) -> bool {
+    pub(crate) fn ready_now(_fd: RawFd, _interest: Interest) -> bool {
         false
     }
 
     /// No-op on this target.
-    pub fn raise_nofile_limit() -> u64 {
+    pub(crate) fn raise_nofile_limit() -> u64 {
         1024
     }
 }

@@ -12,7 +12,7 @@
 /// arm time: every park/unpark bumps the sequence, so an entry whose
 /// `seq` no longer matches is a cancelled timer and expires into nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Deadline {
+pub(crate) struct Deadline {
     /// Slab token of the parked connection.
     pub token: usize,
     /// Park sequence the deadline belongs to.
@@ -26,13 +26,11 @@ pub struct Deadline {
 /// re-examined (their `at_ms` keeps them alive) each pass — deadlines
 /// here are seconds against a multi-second revolution, so overflow
 /// re-queues are rare.
-pub struct TimerWheel {
+pub(crate) struct TimerWheel {
     slots: Vec<Vec<Deadline>>,
     tick_ms: u64,
     /// The last slot index the hand fully drained.
     cursor: u64,
-    /// Entries currently armed (stale ones included until swept).
-    armed: usize,
 }
 
 impl TimerWheel {
@@ -42,7 +40,6 @@ impl TimerWheel {
             slots: (0..slots.max(2)).map(|_| Vec::new()).collect(),
             tick_ms: tick_ms.max(1),
             cursor: 0,
-            armed: 0,
         }
     }
 
@@ -58,7 +55,6 @@ impl TimerWheel {
             at_ms: at,
             ..deadline
         });
-        self.armed += 1;
     }
 
     /// Advance the hand to `now_ms`, appending every due entry to `out`.
@@ -78,7 +74,6 @@ impl TimerWheel {
             while i < entries.len() {
                 if entries[i].at_ms <= now_ms {
                     out.push(entries.swap_remove(i));
-                    self.armed -= 1;
                 } else {
                     i += 1;
                 }
@@ -90,17 +85,12 @@ impl TimerWheel {
     /// Milliseconds until the next armed deadline, or `None` when empty.
     /// An O(slots + entries) scan — the reactor calls this once per loop
     /// to size its poll timeout, and both factors are small.
-    pub fn next_deadline_in(&self, now_ms: u64) -> Option<u64> {
+    pub(crate) fn next_deadline_in(&self, now_ms: u64) -> Option<u64> {
         self.slots
             .iter()
             .flatten()
             .map(|d| d.at_ms.saturating_sub(now_ms))
             .min()
-    }
-
-    /// Armed entries, stale included (sizes the expiry scratch buffer).
-    pub fn armed(&self) -> usize {
-        self.armed
     }
 }
 
@@ -121,7 +111,7 @@ mod tests {
         assert!(out.is_empty(), "too early");
         w.advance(100, &mut out);
         assert_eq!(out, vec![d(1, 1, 95)]);
-        assert_eq!(w.armed(), 0);
+        assert_eq!(w.next_deadline_in(100), None);
     }
 
     #[test]
@@ -159,7 +149,7 @@ mod tests {
         out.clear();
         w.advance(85, &mut out);
         assert_eq!(out.len(), 5, "the 80ms half fired a revolution later");
-        assert_eq!(w.armed(), 0);
+        assert_eq!(w.next_deadline_in(85), None);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use minilang::{LangError, Vm, VmConfig};
 /// Instruction budget per graded run: ample for correct lab solutions
 /// (which finish in well under 100k instructions) while terminating a
 /// livelocked busy-wait submission quickly.
-pub const GRADING_BUDGET: u64 = 400_000;
+pub(crate) const GRADING_BUDGET: u64 = 400_000;
 
 /// Compile and run under the grading budget.
 fn run_budgeted(src: &str, seed: u64) -> Result<minilang::ExecOutcome, LangError> {
@@ -55,7 +55,7 @@ pub fn grading_check_config() -> checker::CheckConfig {
 
 /// Run the systematic checker on a submission; `Ok(report)` iff it
 /// compiles. Non-compiling submissions already fail the compile check.
-pub fn explore_submission(submission: &str) -> Option<checker::CheckReport> {
+pub(crate) fn explore_submission(submission: &str) -> Option<checker::CheckReport> {
     checker::check_program(submission, &grading_check_config()).ok()
 }
 
@@ -145,7 +145,7 @@ pub struct GradeReport {
 }
 
 /// Pass threshold from the paper.
-pub const PASS_SCORE: u32 = 70;
+pub(crate) const PASS_SCORE: u32 = 70;
 
 fn report(lab: LabId, checks: Vec<(String, bool)>) -> GradeReport {
     let total = checks.len().max(1) as u32;

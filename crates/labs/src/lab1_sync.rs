@@ -58,7 +58,7 @@ fn main() {
 pub const EXPECTED: i64 = 1000;
 
 /// Run a lab-1-shaped program and extract its final counter.
-pub fn run_counter(source: &str, seed: u64) -> Option<i64> {
+pub(crate) fn run_counter(source: &str, seed: u64) -> Option<i64> {
     match compile_and_run(source, seed).ok()?.main_result {
         Value::Int(v) => Some(v),
         _ => None,
@@ -72,50 +72,6 @@ pub fn wrong_seed_count(source: &str, seeds: std::ops::Range<u64>) -> usize {
     seeds
         .filter(|&s| run_counter(source, s) != Some(EXPECTED))
         .count()
-}
-
-/// Native mirror: two OS threads doing unsynchronized-style increments via
-/// relaxed load/add/store (the same lost-update window, without UB).
-pub fn native_racy_counter(per_thread: u64) -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-    let counter = Arc::new(AtomicU64::new(0));
-    let mut handles = Vec::new();
-    for _ in 0..2 {
-        let c = Arc::clone(&counter);
-        handles.push(std::thread::spawn(move || {
-            for _ in 0..per_thread {
-                // Deliberately non-atomic RMW: load then store.
-                let v = c.load(Ordering::Relaxed);
-                std::hint::spin_loop();
-                c.store(v + 1, Ordering::Relaxed);
-            }
-        }));
-    }
-    for h in handles {
-        h.join().expect("worker panicked");
-    }
-    counter.load(Ordering::Relaxed)
-}
-
-/// Native mirror of the fix: a mutex-guarded counter.
-pub fn native_locked_counter(per_thread: u64) -> u64 {
-    use std::sync::{Arc, Mutex, PoisonError};
-    let counter = Arc::new(Mutex::new(0u64));
-    let mut handles = Vec::new();
-    for _ in 0..2 {
-        let c = Arc::clone(&counter);
-        handles.push(std::thread::spawn(move || {
-            for _ in 0..per_thread {
-                *c.lock().unwrap_or_else(PoisonError::into_inner) += 1;
-            }
-        }));
-    }
-    for h in handles {
-        h.join().expect("worker panicked");
-    }
-    let v = *counter.lock().unwrap_or_else(PoisonError::into_inner);
-    v
 }
 
 #[cfg(test)]
@@ -140,16 +96,5 @@ mod tests {
             assert!(v <= EXPECTED, "counter {v} exceeds possible maximum");
             assert!(v >= 2, "counter {v} impossibly small");
         }
-    }
-
-    #[test]
-    fn native_locked_is_exact() {
-        assert_eq!(native_locked_counter(10_000), 20_000);
-    }
-
-    #[test]
-    fn native_racy_never_exceeds() {
-        let v = native_racy_counter(10_000);
-        assert!(v <= 20_000);
     }
 }

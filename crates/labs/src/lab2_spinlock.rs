@@ -5,47 +5,15 @@
 //! main memory and each thread has a local copy of the shared variable,
 //! which represents the copy in the local cache" (§III.B.2).
 //!
-//! Three layers here:
-//! 1. minilang TAS and TTAS spin locks (what students write);
-//! 2. native TAS/TTAS locks over real atomics (what benches contend on);
-//! 3. a MESI trace experiment quantifying why TTAS beats TAS: invalidation
-//!    counts from [`cluster::CacheSystem`].
+//! Two layers here:
+//! 1. the minilang TTAS spin lock (the lab's reference solution);
+//! 2. MESI trace experiments quantifying why TTAS and the ticket lock beat
+//!    TAS: invalidation counts from [`cluster::CacheSystem`].
 
 use cluster::{AccessKind, CacheSystem, CoherenceProtocol, CoherenceStats};
-use minilang::{compile_and_run, Value};
-use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Students' first version: plain test-and-set spin lock.
-pub const TAS_SOURCE: &str = r#"
-var flag = 0;       // the lock word: the "main copy" in memory
-var counter = 0;
-
-fn acquire() {
-    // Spin on tas: EVERY attempt writes the lock word, invalidating all
-    // other caches' copies even when the lock is held.
-    while (tas(flag) == 1) { }
-}
-
-fn release() { flag = 0; }
-
-fn worker(n) {
-    for (var i = 0; i < n; i = i + 1) {
-        acquire();
-        counter = counter + 1;
-        release();
-    }
-}
-
-fn main() {
-    var t1 = spawn worker(150);
-    var t2 = spawn worker(150);
-    var t3 = spawn worker(150);
-    join(t1); join(t2); join(t3);
-    return counter;
-}
-"#;
-
-/// The improved version: test-and-test-and-set — spin on a read.
+/// The lab's reference spin lock: test-and-test-and-set, which spins on a
+/// read where TAS spins on a write.
 pub const TTAS_SOURCE: &str = r#"
 var flag = 0;
 var counter = 0;
@@ -75,14 +43,6 @@ fn main() {
     return counter;
 }
 "#;
-
-/// Run either spin-lock program; returns the final counter (450 expected).
-pub fn run_spinlock(source: &str, seed: u64) -> Option<i64> {
-    match compile_and_run(source, seed).ok()?.main_result {
-        Value::Int(v) => Some(v),
-        _ => None,
-    }
-}
 
 /// The coherence experiment: replay the memory-access pattern of `threads`
 /// cores fighting over one lock word under MESI (or write-through), and
@@ -124,209 +84,10 @@ pub fn coherence_trace(
     sys.stats().clone()
 }
 
-/// A native TAS spin lock (the real-hardware mirror).
-#[derive(Debug, Default)]
-pub struct TasLock {
-    flag: AtomicBool,
-}
-
-impl TasLock {
-    /// A new unlocked lock.
-    pub fn new() -> TasLock {
-        TasLock {
-            flag: AtomicBool::new(false),
-        }
-    }
-
-    /// Spin with test-and-set until acquired.
-    pub fn lock(&self) {
-        while self.flag.swap(true, Ordering::Acquire) {
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Release.
-    pub fn unlock(&self) {
-        self.flag.store(false, Ordering::Release);
-    }
-}
-
-/// A native TTAS spin lock.
-#[derive(Debug, Default)]
-pub struct TtasLock {
-    flag: AtomicBool,
-}
-
-impl TtasLock {
-    /// A new unlocked lock.
-    pub fn new() -> TtasLock {
-        TtasLock {
-            flag: AtomicBool::new(false),
-        }
-    }
-
-    /// Spin reading until the lock looks free, then try the swap.
-    pub fn lock(&self) {
-        loop {
-            while self.flag.load(Ordering::Relaxed) {
-                std::hint::spin_loop();
-            }
-            if !self.flag.swap(true, Ordering::Acquire) {
-                return;
-            }
-        }
-    }
-
-    /// Release.
-    pub fn unlock(&self) {
-        self.flag.store(false, Ordering::Release);
-    }
-}
-
-/// Drive `threads` OS threads through `n` guarded increments with a TAS or
-/// TTAS lock; returns the final counter (correctness harness for benches).
-pub fn native_contend(threads: usize, per_thread: u64, ttas: bool) -> u64 {
-    use std::sync::Arc;
-    let lock = Arc::new((TasLock::new(), TtasLock::new()));
-    let counter = Arc::new(std::sync::atomic::AtomicU64::new(0));
-    let mut handles = Vec::new();
-    for _ in 0..threads {
-        let lock = Arc::clone(&lock);
-        let counter = Arc::clone(&counter);
-        handles.push(std::thread::spawn(move || {
-            for _ in 0..per_thread {
-                if ttas {
-                    lock.1.lock();
-                } else {
-                    lock.0.lock();
-                }
-                // The critical section: a plain RMW, safe under the lock.
-                let v = counter.load(Ordering::Relaxed);
-                counter.store(v + 1, Ordering::Relaxed);
-                if ttas {
-                    lock.1.unlock();
-                } else {
-                    lock.0.unlock();
-                }
-            }
-        }));
-    }
-    for h in handles {
-        h.join().expect("worker panicked");
-    }
-    counter.load(Ordering::SeqCst)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn both_vm_locks_are_correct() {
-        for seed in [0u64, 7, 99] {
-            assert_eq!(run_spinlock(TAS_SOURCE, seed), Some(450), "TAS seed {seed}");
-            assert_eq!(
-                run_spinlock(TTAS_SOURCE, seed),
-                Some(450),
-                "TTAS seed {seed}"
-            );
-        }
-    }
-
-    #[test]
-    fn tas_generates_more_invalidations_than_ttas() {
-        let tas = coherence_trace(4, 50, 10, false, CoherenceProtocol::Mesi);
-        let ttas = coherence_trace(4, 50, 10, true, CoherenceProtocol::Mesi);
-        assert!(
-            tas.invalidations > 3 * ttas.invalidations,
-            "TAS {} vs TTAS {} invalidations",
-            tas.invalidations,
-            ttas.invalidations
-        );
-        assert!(tas.bus_transactions > ttas.bus_transactions);
-    }
-
-    #[test]
-    fn ttas_spins_hit_cache() {
-        let ttas = coherence_trace(4, 20, 20, true, CoherenceProtocol::Mesi);
-        // Spinning reads should mostly hit after the first pull.
-        assert!(ttas.hit_rate() > 0.8, "hit rate {}", ttas.hit_rate());
-    }
-
-    #[test]
-    fn write_through_is_worse_for_both() {
-        let mesi = coherence_trace(4, 30, 10, false, CoherenceProtocol::Mesi);
-        let wt = coherence_trace(4, 30, 10, false, CoherenceProtocol::WriteThrough);
-        assert!(wt.bus_transactions > mesi.bus_transactions);
-    }
-
-    #[test]
-    fn native_locks_correct_under_contention() {
-        assert_eq!(native_contend(4, 5_000, false), 20_000);
-        assert_eq!(native_contend(4, 5_000, true), 20_000);
-    }
-}
-
-/// The third lock of the lecture's taxonomy: a ticket (queue) lock — FIFO
-/// fair, one release wakes exactly the next waiter, and waiters spin on a
-/// *read* of `now_serving`, so coherence traffic stays TTAS-like while
-/// adding fairness TAS/TTAS lack.
-pub const TICKET_SOURCE: &str = r#"
-var next_ticket = 0;
-var now_serving = 0;
-var counter = 0;
-
-fn acquire() {
-    var my = atomic_add(next_ticket, 1);  // take a ticket
-    while (now_serving != my) { }          // spin on a read
-}
-
-fn release() { atomic_add(now_serving, 1); }
-
-fn worker(n) {
-    for (var i = 0; i < n; i = i + 1) {
-        acquire();
-        counter = counter + 1;
-        release();
-    }
-}
-
-fn main() {
-    var t1 = spawn worker(150);
-    var t2 = spawn worker(150);
-    var t3 = spawn worker(150);
-    join(t1); join(t2); join(t3);
-    return counter;
-}
-"#;
-
-/// Native ticket lock over two atomics.
-#[derive(Debug, Default)]
-pub struct TicketLock {
-    next: std::sync::atomic::AtomicU64,
-    serving: std::sync::atomic::AtomicU64,
-}
-
-impl TicketLock {
-    /// A new unlocked lock.
-    pub fn new() -> TicketLock {
-        TicketLock::default()
-    }
-
-    /// Take a ticket, spin until served.
-    pub fn lock(&self) {
-        let my = self.next.fetch_add(1, Ordering::Relaxed);
-        while self.serving.load(Ordering::Acquire) != my {
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Serve the next ticket.
-    pub fn unlock(&self) {
-        self.serving.fetch_add(1, Ordering::Release);
-    }
-}
-
+/// The third lock of the lecture's taxonomy, a ticket (queue) lock: FIFO
+/// fair, and waiters spin on a *read* of `now_serving`, so coherence traffic
+/// stays TTAS-like while adding the fairness TAS/TTAS lack.
+///
 /// Ticket-lock coherence trace: waiters spin reading `now_serving` (one
 /// shared line); acquisition RMWs `next_ticket` (another line); release
 /// writes `now_serving` once.
@@ -358,44 +119,35 @@ pub fn ticket_coherence_trace(
     sys.stats().clone()
 }
 
-/// Drive the native ticket lock (correctness + bench harness).
-pub fn native_ticket_contend(threads: usize, per_thread: u64) -> u64 {
-    use std::sync::Arc;
-    let lock = Arc::new(TicketLock::new());
-    let counter = Arc::new(std::sync::atomic::AtomicU64::new(0));
-    let mut handles = Vec::new();
-    for _ in 0..threads {
-        let lock = Arc::clone(&lock);
-        let counter = Arc::clone(&counter);
-        handles.push(std::thread::spawn(move || {
-            for _ in 0..per_thread {
-                lock.lock();
-                let v = counter.load(Ordering::Relaxed);
-                counter.store(v + 1, Ordering::Relaxed);
-                lock.unlock();
-            }
-        }));
-    }
-    for h in handles {
-        h.join().expect("worker panicked");
-    }
-    counter.load(Ordering::SeqCst)
-}
-
 #[cfg(test)]
-mod ticket_tests {
+mod tests {
     use super::*;
 
     #[test]
-    fn vm_ticket_lock_correct() {
-        for seed in [0u64, 3, 17] {
-            assert_eq!(run_spinlock(TICKET_SOURCE, seed), Some(450), "seed {seed}");
-        }
+    fn tas_generates_more_invalidations_than_ttas() {
+        let tas = coherence_trace(4, 50, 10, false, CoherenceProtocol::Mesi);
+        let ttas = coherence_trace(4, 50, 10, true, CoherenceProtocol::Mesi);
+        assert!(
+            tas.invalidations > 3 * ttas.invalidations,
+            "TAS {} vs TTAS {} invalidations",
+            tas.invalidations,
+            ttas.invalidations
+        );
+        assert!(tas.bus_transactions > ttas.bus_transactions);
     }
 
     #[test]
-    fn native_ticket_lock_correct() {
-        assert_eq!(native_ticket_contend(4, 5_000), 20_000);
+    fn ttas_spins_hit_cache() {
+        let ttas = coherence_trace(4, 20, 20, true, CoherenceProtocol::Mesi);
+        // Spinning reads should mostly hit after the first pull.
+        assert!(ttas.hit_rate() > 0.8, "hit rate {}", ttas.hit_rate());
+    }
+
+    #[test]
+    fn write_through_is_worse_for_both() {
+        let mesi = coherence_trace(4, 30, 10, false, CoherenceProtocol::Mesi);
+        let wt = coherence_trace(4, 30, 10, false, CoherenceProtocol::WriteThrough);
+        assert!(wt.bus_transactions > mesi.bus_transactions);
     }
 
     #[test]

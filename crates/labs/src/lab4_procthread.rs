@@ -135,30 +135,6 @@ pub fn run_copy_checked(numbers: &[i64], seed: u64) -> Result<bool, minilang::La
     Ok(io.output() == numbers)
 }
 
-/// Native mirror: reader/writer OS threads over a bounded std channel copying
-/// a number stream; returns the received sequence.
-pub fn native_copy(numbers: Vec<i64>) -> Vec<i64> {
-    let (tx, rx) = std::sync::mpsc::sync_channel::<i64>(8);
-    let producer = std::thread::spawn(move || {
-        for n in numbers {
-            tx.send(n).expect("receiver alive");
-        }
-        tx.send(-1).expect("receiver alive");
-    });
-    let consumer = std::thread::spawn(move || {
-        let mut out = Vec::new();
-        while let Ok(v) = rx.recv() {
-            if v == -1 {
-                break;
-            }
-            out.push(v);
-        }
-        out
-    });
-    producer.join().expect("producer ok");
-    consumer.join().expect("consumer ok")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,11 +151,5 @@ mod tests {
     fn handles_multi_digit_and_empty() {
         assert!(run_copy_checked(&[123, 4567, 89], 1).unwrap());
         assert!(run_copy_checked(&[], 1).unwrap());
-    }
-
-    #[test]
-    fn native_copy_preserves_stream() {
-        let nums: Vec<i64> = (1..=1000).collect();
-        assert_eq!(native_copy(nums.clone()), nums);
     }
 }

@@ -23,11 +23,11 @@ pub enum BankStep {
 
 /// Starting balance (the paper uses 1,000,000; scaled down 1000x so VM runs
 /// stay fast — the race is about interleaving, not magnitude).
-pub const START: i64 = 1_000;
+pub(crate) const START: i64 = 1_000;
 /// Withdrawal amount (paper: 600,000 scaled to 600).
-pub const WITHDRAW: i64 = 600;
+pub(crate) const WITHDRAW: i64 = 600;
 /// Deposit amount (paper: 500,000 scaled to 500).
-pub const DEPOSIT: i64 = 500;
+pub(crate) const DEPOSIT: i64 = 500;
 /// The correct ending balance.
 pub const EXPECTED: i64 = START - WITHDRAW + DEPOSIT;
 

@@ -9,9 +9,9 @@
 use minilang::{compile_and_run, LangError, RuntimeError, Value};
 
 /// Buffer capacity used by all three versions.
-pub const CAPACITY: usize = 4;
+pub(crate) const CAPACITY: usize = 4;
 /// Items produced/consumed.
-pub const ITEMS: usize = 100;
+pub(crate) const ITEMS: usize = 100;
 
 /// The broken handout: busy-wait flags with a race on `count` — both the
 /// classic lost-update on `count` and index corruption are possible.
@@ -142,7 +142,7 @@ fn main() {{
 }
 
 /// The correct checksum: 1 + 2 + ... + ITEMS.
-pub const EXPECTED_SUM: i64 = (ITEMS as i64 * (ITEMS as i64 + 1)) / 2;
+pub(crate) const EXPECTED_SUM: i64 = (ITEMS as i64 * (ITEMS as i64 + 1)) / 2;
 
 /// Outcome of one run.
 #[derive(Debug, Clone, PartialEq)]
@@ -176,112 +176,6 @@ pub fn correctness_rate(source: &str, seeds: std::ops::Range<u64>) -> f64 {
     good as f64 / total as f64
 }
 
-/// Native mirror: a bounded buffer over a std mutex + condvars, exercised
-/// with real threads.
-pub mod native {
-    use std::collections::VecDeque;
-    use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-
-    /// A blocking bounded queue.
-    pub struct BoundedBuffer<T> {
-        state: Mutex<VecDeque<T>>,
-        not_full: Condvar,
-        not_empty: Condvar,
-        cap: usize,
-    }
-
-    impl<T> BoundedBuffer<T> {
-        /// A buffer holding at most `cap` items.
-        pub fn new(cap: usize) -> BoundedBuffer<T> {
-            assert!(cap > 0, "capacity must be positive");
-            BoundedBuffer {
-                state: Mutex::new(VecDeque::with_capacity(cap)),
-                not_full: Condvar::new(),
-                not_empty: Condvar::new(),
-                cap,
-            }
-        }
-
-        /// The queue, recovered if a panicking holder poisoned the lock.
-        fn lock(&self) -> MutexGuard<'_, VecDeque<T>> {
-            self.state.lock().unwrap_or_else(PoisonError::into_inner)
-        }
-
-        /// Blocking insert.
-        pub fn put(&self, item: T) {
-            let mut q = self.lock();
-            while q.len() == self.cap {
-                q = self
-                    .not_full
-                    .wait(q)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            q.push_back(item);
-            self.not_empty.notify_one();
-        }
-
-        /// Blocking remove.
-        pub fn get(&self) -> T {
-            let mut q = self.lock();
-            while q.is_empty() {
-                q = self
-                    .not_empty
-                    .wait(q)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            let item = q.pop_front().expect("nonempty");
-            self.not_full.notify_one();
-            item
-        }
-
-        /// Current length (diagnostics).
-        pub fn len(&self) -> usize {
-            self.lock().len()
-        }
-
-        /// True when empty.
-        pub fn is_empty(&self) -> bool {
-            self.lock().is_empty()
-        }
-    }
-
-    /// Drive `producers` x `consumers` threads moving `per_producer` items;
-    /// returns the received checksum.
-    pub fn drive(cap: usize, producers: usize, consumers: usize, per_producer: u64) -> u64 {
-        use std::sync::Arc;
-        let buf = Arc::new(BoundedBuffer::<u64>::new(cap));
-        let total = producers as u64 * per_producer;
-        let mut handles = Vec::new();
-        for p in 0..producers {
-            let buf = Arc::clone(&buf);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..per_producer {
-                    buf.put(p as u64 * per_producer + i + 1);
-                }
-            }));
-        }
-        let per_consumer = total / consumers as u64;
-        let mut consumer_handles = Vec::new();
-        for _ in 0..consumers {
-            let buf = Arc::clone(&buf);
-            consumer_handles.push(std::thread::spawn(move || {
-                let mut sum = 0u64;
-                for _ in 0..per_consumer {
-                    sum += buf.get();
-                }
-                sum
-            }));
-        }
-        for h in handles {
-            h.join().expect("producer ok");
-        }
-        consumer_handles
-            .into_iter()
-            .map(|h| h.join().expect("consumer ok"))
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,23 +203,5 @@ mod tests {
     #[test]
     fn expected_sum_arithmetic() {
         assert_eq!(EXPECTED_SUM, 5050);
-    }
-
-    #[test]
-    fn native_buffer_checksum() {
-        // 1..=N split across producers; sum of 1..=(p*per) items.
-        let total_sum = native::drive(4, 2, 2, 500);
-        let n = 1000u64;
-        assert_eq!(total_sum, n * (n + 1) / 2);
-    }
-
-    #[test]
-    fn native_buffer_bounded() {
-        let buf = native::BoundedBuffer::new(2);
-        buf.put(1);
-        buf.put(2);
-        assert_eq!(buf.len(), 2);
-        assert_eq!(buf.get(), 1);
-        assert!(!buf.is_empty());
     }
 }

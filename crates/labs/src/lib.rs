@@ -1,13 +1,11 @@
 //! # labs — the seven PDC course modules (§III.B)
 //!
-//! Each lab from the paper is implemented twice:
-//!
-//! 1. **On the portal's VM** — minilang sources (a buggy version students
-//!    start from and a fixed version they must reach), executed under the
-//!    seeded scheduler so the pathology (lost update, deadlock, wrong
-//!    balance) reproduces on demand; and
-//! 2. **Natively** — real OS threads over `std::sync`, so the same
-//!    patterns run with genuine contention on real hardware.
+//! Each lab from the paper is implemented on the portal's VM: minilang
+//! sources (a buggy version students start from and a fixed version they
+//! must reach), executed under the seeded scheduler so the pathology (lost
+//! update, deadlock, wrong balance) reproduces on demand. Lab 2 adds MESI
+//! trace experiments over [`cluster::CacheSystem`] and lab 3 the NUMA cost
+//! model.
 //!
 //! | Module | Paper lab |
 //! |---|---|

@@ -4,7 +4,7 @@ use crate::error::Pos;
 
 /// A whole compilation unit: top-level globals and functions.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ProgramAst {
+pub(crate) struct ProgramAst {
     /// Top-level `var` declarations (become shared globals).
     pub globals: Vec<GlobalDecl>,
     /// Function definitions.
@@ -13,7 +13,7 @@ pub struct ProgramAst {
 
 /// A top-level `var name = expr;`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GlobalDecl {
+pub(crate) struct GlobalDecl {
     /// Variable name.
     pub name: String,
     /// Optional initializer (defaults to integer 0).
@@ -24,7 +24,7 @@ pub struct GlobalDecl {
 
 /// A function definition.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FnDecl {
+pub(crate) struct FnDecl {
     /// Function name.
     pub name: String,
     /// Parameter names.
@@ -37,7 +37,7 @@ pub struct FnDecl {
 
 /// Statements.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Stmt {
+pub(crate) enum Stmt {
     /// `var name = expr;` (local declaration).
     Var {
         /// Local name.
@@ -108,7 +108,7 @@ pub enum Stmt {
 
 /// Assignable places.
 #[derive(Debug, Clone, PartialEq)]
-pub enum LValue {
+pub(crate) enum LValue {
     /// A plain variable.
     Name(String),
     /// `array[index]`.
@@ -122,7 +122,7 @@ pub enum LValue {
 
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BinOp {
+pub(crate) enum BinOp {
     /// `+` (also string concatenation)
     Add,
     /// `-`
@@ -149,7 +149,7 @@ pub enum BinOp {
 
 /// Unary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnOp {
+pub(crate) enum UnOp {
     /// Numeric negation.
     Neg,
     /// Logical not.
@@ -158,7 +158,7 @@ pub enum UnOp {
 
 /// Expressions.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+pub(crate) enum Expr {
     /// Integer literal.
     Int(i64, Pos),
     /// Boolean literal.

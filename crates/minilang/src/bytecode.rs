@@ -10,11 +10,11 @@ use crate::value::Value;
 use std::fmt;
 
 /// Identifies a user function within a [`Program`].
-pub type FnId = usize;
+pub(crate) type FnId = usize;
 
 /// The builtin operations surfaced to the language.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Builtin {
+pub(crate) enum Builtin {
     /// `print(v, ...)` — write values, no newline.
     Print,
     /// `println(v, ...)` — write values then newline.
@@ -87,7 +87,7 @@ pub enum Builtin {
 
 impl Builtin {
     /// Resolve a source-level name.
-    pub fn from_name(name: &str) -> Option<Builtin> {
+    pub(crate) fn from_name(name: &str) -> Option<Builtin> {
         Some(match name {
             "print" => Builtin::Print,
             "println" => Builtin::Println,
@@ -127,7 +127,7 @@ impl Builtin {
     }
 
     /// `(min_args, max_args)` accepted.
-    pub fn arity(self) -> (usize, usize) {
+    pub(crate) fn arity(self) -> (usize, usize) {
         match self {
             Builtin::Print | Builtin::Println => (0, usize::MAX),
             Builtin::Len
@@ -167,7 +167,7 @@ impl Builtin {
 /// these per step, and a dense copyable opcode keeps that fetch a plain
 /// 16-byte move instead of a clone call.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Instr {
+pub(crate) enum Instr {
     /// Push constant-pool entry.
     Const(usize),
     /// Push local slot.
@@ -210,8 +210,6 @@ pub enum Instr {
     JumpIfFalse(usize),
     /// Pop; jump when truthy (for `||` short circuit; leaves nothing).
     JumpIfTrue(usize),
-    /// Duplicate top of stack.
-    Dup,
     /// Discard top of stack.
     Pop,
     /// Call user function with `argc` stacked arguments.
@@ -253,7 +251,7 @@ pub enum Instr {
 
 /// A compiled function.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Function {
+pub(crate) struct Function {
     /// Name (for traces and errors).
     pub name: String,
     /// Number of parameters.
@@ -272,7 +270,7 @@ pub struct Program {
     /// Global slot names (index = slot).
     pub global_names: Vec<String>,
     /// Functions; `entry` and `init` index into this.
-    pub functions: Vec<Function>,
+    pub(crate) functions: Vec<Function>,
     /// Index of `main`.
     pub entry: FnId,
     /// Index of the synthesized global-initializer function (runs first).
@@ -280,19 +278,9 @@ pub struct Program {
 }
 
 impl Program {
-    /// Look up a function id by name.
-    pub fn find_function(&self, name: &str) -> Option<FnId> {
-        self.functions.iter().position(|f| f.name == name)
-    }
-
     /// Look up a global slot by name.
-    pub fn find_global(&self, name: &str) -> Option<usize> {
+    pub(crate) fn find_global(&self, name: &str) -> Option<usize> {
         self.global_names.iter().position(|n| n == name)
-    }
-
-    /// Total instruction count across functions (reporting).
-    pub fn code_size(&self) -> usize {
-        self.functions.iter().map(|f| f.code.len()).sum()
     }
 }
 
@@ -346,9 +334,7 @@ mod tests {
             entry: 0,
             init: 0,
         };
-        assert_eq!(p.find_function("main"), Some(0));
         assert_eq!(p.find_global("b"), Some(1));
         assert_eq!(p.find_global("zz"), None);
-        assert_eq!(p.code_size(), 0);
     }
 }

@@ -7,7 +7,7 @@ use crate::value::Value;
 use std::collections::HashMap;
 
 /// Compile a parsed program. Requires a zero-argument `main`.
-pub fn compile(ast: &ProgramAst) -> Result<Program, CompileError> {
+pub(crate) fn compile(ast: &ProgramAst) -> Result<Program, CompileError> {
     Compiler::new(ast)?.run(ast)
 }
 

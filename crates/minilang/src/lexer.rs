@@ -5,7 +5,7 @@ use std::fmt;
 
 /// Token kinds. Keywords are distinguished from identifiers at lex time.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Tok {
+pub(crate) enum Tok {
     // Literals and names.
     /// Integer literal.
     Int(i64),
@@ -146,7 +146,7 @@ impl fmt::Display for Tok {
 
 /// A token plus its source position.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+pub(crate) struct Token {
     /// Token kind/payload.
     pub tok: Tok,
     /// Start position.
@@ -199,7 +199,7 @@ impl<'a> Lexer<'a> {
 /// Lex `src` into tokens (with a trailing [`Tok::Eof`]).
 ///
 /// Comments: `//` to end of line and `/* ... */` (non-nesting).
-pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
+pub(crate) fn lex(src: &str) -> Result<Vec<Token>, LexError> {
     let mut lx = Lexer {
         src: src.as_bytes(),
         i: 0,

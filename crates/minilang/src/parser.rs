@@ -508,7 +508,7 @@ impl Parser {
 }
 
 /// Parse a full token stream (as produced by [`crate::lexer::lex`]).
-pub fn parse(tokens: Vec<Token>) -> Result<ProgramAst, ParseError> {
+pub(crate) fn parse(tokens: Vec<Token>) -> Result<ProgramAst, ParseError> {
     assert!(
         matches!(tokens.last(), Some(Token { tok: Tok::Eof, .. })),
         "token stream must end with Eof"

@@ -53,7 +53,7 @@ impl Value {
     }
 
     /// Truthiness: `false`, `0`, and `unit` are falsy; everything else truthy.
-    pub fn truthy(&self) -> bool {
+    pub(crate) fn truthy(&self) -> bool {
         match self {
             Value::Bool(b) => *b,
             Value::Int(v) => *v != 0,
@@ -69,7 +69,7 @@ impl Value {
     }
 
     /// Type name for diagnostics.
-    pub fn type_name(&self) -> &'static str {
+    pub(crate) fn type_name(&self) -> &'static str {
         match self {
             Value::Int(_) => "int",
             Value::Bool(_) => "bool",
@@ -85,7 +85,7 @@ impl Value {
     }
 
     /// Structural equality (used by `==`). Arrays compare element-wise.
-    pub fn eq_value(&self, other: &Value) -> bool {
+    pub(crate) fn eq_value(&self, other: &Value) -> bool {
         match (self, other) {
             (Value::Int(a), Value::Int(b)) => a == b,
             (Value::Bool(a), Value::Bool(b)) => a == b,
@@ -109,7 +109,7 @@ impl Value {
 }
 
 impl PartialEq for Value {
-    /// Structural equality, identical to [`Value::eq_value`]. Arrays compare
+    /// Structural equality, identical to `Value::eq_value`. Arrays compare
     /// element-wise (by reference first, as a fast path).
     fn eq(&self, other: &Self) -> bool {
         self.eq_value(other)

@@ -1392,14 +1392,6 @@ impl Vm {
                     return Ok(Step::Continue);
                 }
             }
-            Instr::Dup => {
-                let v = self.threads[tid]
-                    .stack
-                    .last()
-                    .cloned()
-                    .ok_or_else(|| RuntimeError::Internal("dup on empty stack".into()))?;
-                push!(v);
-            }
             Instr::Pop => {
                 let _ = pop!();
             }

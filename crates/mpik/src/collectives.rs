@@ -1,21 +1,16 @@
 //! The standard collectives, implemented over point-to-point messaging.
 //!
 //! Algorithms are the textbook ones the course teaches: binomial trees for
-//! broadcast/reduce (log p rounds), central coordinator for barrier, linear
-//! scatter/gather from the root, a ring for allgather and pairwise exchange
-//! for alltoall. Every collective uses reserved tags so it composes with
-//! application traffic.
+//! broadcast/reduce (log p rounds) and a central coordinator for barrier.
+//! Every collective uses reserved tags so it composes with application
+//! traffic.
 
-use crate::proc::{decode_vec_i64, MpiError, Proc, Reduce, Tag};
+use crate::proc::{MpiError, Proc, Reduce, Tag};
 
 const T_BARRIER_IN: Tag = Tag(Tag::RESERVED);
 const T_BARRIER_OUT: Tag = Tag(Tag::RESERVED + 1);
 const T_BCAST: Tag = Tag(Tag::RESERVED + 2);
 const T_REDUCE: Tag = Tag(Tag::RESERVED + 3);
-const T_SCATTER: Tag = Tag(Tag::RESERVED + 4);
-const T_GATHER: Tag = Tag(Tag::RESERVED + 5);
-const T_ALLGATHER: Tag = Tag(Tag::RESERVED + 6);
-const T_ALLTOALL: Tag = Tag(Tag::RESERVED + 7);
 
 impl Proc {
     /// Synchronize all ranks: nobody returns until everybody entered.
@@ -85,7 +80,7 @@ impl Proc {
     }
 
     /// Broadcast one i64 from `root`.
-    pub fn bcast_i64(&mut self, root: usize, v: Option<i64>) -> Result<i64, MpiError> {
+    pub(crate) fn bcast_i64(&mut self, root: usize, v: Option<i64>) -> Result<i64, MpiError> {
         let data = self.bcast(root, v.map(|x| x.to_le_bytes().to_vec()))?;
         crate::proc::decode_i64(&data)
     }
@@ -95,7 +90,7 @@ impl Proc {
     /// local partial for debuggability).
     ///
     /// Binomial tree, mirroring [`Proc::bcast`].
-    pub fn reduce_i64(&mut self, root: usize, v: i64, op: Reduce) -> Result<i64, MpiError> {
+    pub(crate) fn reduce_i64(&mut self, root: usize, v: i64, op: Reduce) -> Result<i64, MpiError> {
         let size = self.size();
         if root >= size {
             return Err(MpiError::RankOutOfRange { rank: root, size });
@@ -137,101 +132,6 @@ impl Proc {
     pub fn allreduce_i64(&mut self, v: i64, op: Reduce) -> Result<i64, MpiError> {
         let total = self.reduce_i64(0, v, op)?;
         self.bcast_i64(0, (self.rank() == 0).then_some(total))
-    }
-
-    /// Scatter: root holds `size` chunks, each rank receives chunk `rank`.
-    pub fn scatter_i64(
-        &mut self,
-        root: usize,
-        chunks: Option<&[Vec<i64>]>,
-    ) -> Result<Vec<i64>, MpiError> {
-        let size = self.size();
-        if root >= size {
-            return Err(MpiError::RankOutOfRange { rank: root, size });
-        }
-        if self.rank() == root {
-            let chunks = chunks.expect("root must supply chunks");
-            assert_eq!(chunks.len(), size, "scatter needs one chunk per rank");
-            for (r, chunk) in chunks.iter().enumerate() {
-                if r != root {
-                    self.send_vec_i64(r, T_SCATTER, chunk)?;
-                }
-            }
-            Ok(chunks[root].clone())
-        } else {
-            self.recv_vec_i64(root, T_SCATTER)
-        }
-    }
-
-    /// Gather: every rank sends its vector to root; root returns all in
-    /// rank order, others return just their own.
-    pub fn gather_i64(&mut self, root: usize, mine: &[i64]) -> Result<Vec<Vec<i64>>, MpiError> {
-        let size = self.size();
-        if root >= size {
-            return Err(MpiError::RankOutOfRange { rank: root, size });
-        }
-        if self.rank() == root {
-            let mut all = vec![Vec::new(); size];
-            all[root] = mine.to_vec();
-            for (r, slot) in all.iter_mut().enumerate() {
-                if r != root {
-                    *slot = self.recv_vec_i64(r, T_GATHER)?;
-                }
-            }
-            Ok(all)
-        } else {
-            self.send_vec_i64(root, T_GATHER, mine)?;
-            Ok(vec![mine.to_vec()])
-        }
-    }
-
-    /// Allgather by ring: p-1 rounds, each rank forwards the newest block.
-    pub fn allgather_i64(&mut self, mine: &[i64]) -> Result<Vec<Vec<i64>>, MpiError> {
-        let size = self.size();
-        let rank = self.rank();
-        let mut all: Vec<Vec<i64>> = vec![Vec::new(); size];
-        all[rank] = mine.to_vec();
-        if size == 1 {
-            return Ok(all);
-        }
-        let next = (rank + 1) % size;
-        let prev = (rank + size - 1) % size;
-        // Round k: send the block that originated at (rank - k).
-        let mut send_block = rank;
-        for _ in 0..size - 1 {
-            let payload = all[send_block].clone();
-            self.send_vec_i64(next, T_ALLGATHER, &payload)?;
-            let got = self.recv_vec_i64(prev, T_ALLGATHER)?;
-            send_block = (send_block + size - 1) % size;
-            all[send_block] = got;
-        }
-        Ok(all)
-    }
-
-    /// Alltoall: rank i's `blocks[j]` lands at rank j's result index i.
-    /// Pairwise exchange.
-    pub fn alltoall_i64(&mut self, blocks: &[Vec<i64>]) -> Result<Vec<Vec<i64>>, MpiError> {
-        let size = self.size();
-        let rank = self.rank();
-        assert_eq!(blocks.len(), size, "alltoall needs one block per rank");
-        let mut out = vec![Vec::new(); size];
-        out[rank] = blocks[rank].clone();
-        // Rotation algorithm: in round k, send the block addressed to
-        // (rank + k) and receive the block coming from (rank - k). Sends
-        // are buffered (never block), so the schedule is deadlock-free
-        // without any pairwise ordering protocol.
-        for k in 1..size {
-            let to = (rank + k) % size;
-            let from = (rank + size - k) % size;
-            self.send_vec_i64(to, T_ALLTOALL, &blocks[to])?;
-            out[from] = self.recv_vec_i64(from, T_ALLTOALL)?;
-        }
-        Ok(out)
-    }
-
-    /// Decode helper re-export for applications that use raw [`Proc::bcast`].
-    pub fn decode_vec(data: &[u8]) -> Result<Vec<i64>, MpiError> {
-        decode_vec_i64(data)
     }
 }
 
@@ -305,62 +205,6 @@ mod tests {
                 .run(|p| p.allreduce_i64(2, Reduce::Prod).unwrap())
                 .unwrap();
             assert!(out.iter().all(|&v| v == 1 << n), "n={n} {out:?}");
-        }
-    }
-
-    #[test]
-    fn scatter_gather_roundtrip() {
-        let n = 4;
-        let w = world(n);
-        let out = w
-            .run(|p| {
-                let chunks: Option<Vec<Vec<i64>>> = (p.rank() == 1)
-                    .then(|| (0..n as i64).map(|r| vec![r * 10, r * 10 + 1]).collect());
-                let mine = p.scatter_i64(1, chunks.as_deref()).unwrap();
-                let gathered = p.gather_i64(1, &mine).unwrap();
-                (mine, gathered)
-            })
-            .unwrap();
-        assert_eq!(out[2].0, vec![20, 21]);
-        assert_eq!(out[1].1.len(), n);
-        assert_eq!(out[1].1[3], vec![30, 31]);
-        // Non-roots only echo their own chunk back.
-        assert_eq!(out[0].1, vec![vec![0, 1]]);
-    }
-
-    #[test]
-    fn allgather_ring() {
-        for n in [1usize, 2, 3, 5] {
-            let w = world(n);
-            let out = w
-                .run(|p| p.allgather_i64(&[p.rank() as i64 * 100]).unwrap())
-                .unwrap();
-            for (r, all) in out.iter().enumerate() {
-                assert_eq!(all.len(), n, "rank {r}");
-                for (i, block) in all.iter().enumerate() {
-                    assert_eq!(block, &vec![i as i64 * 100], "rank {r} block {i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn alltoall_transpose() {
-        let n = 4;
-        let w = world(n);
-        let out = w
-            .run(|p| {
-                let blocks: Vec<Vec<i64>> = (0..n)
-                    .map(|dst| vec![(p.rank() * 10 + dst) as i64])
-                    .collect();
-                p.alltoall_i64(&blocks).unwrap()
-            })
-            .unwrap();
-        // Rank j's block i must be what rank i addressed to j: i*10 + j.
-        for (j, blocks) in out.iter().enumerate() {
-            for (i, b) in blocks.iter().enumerate() {
-                assert_eq!(b, &vec![(i * 10 + j) as i64], "rank {j} from {i}");
-            }
         }
     }
 

@@ -5,10 +5,10 @@
 //! the course's message-passing module covers "topology, latency, and
 //! routing" (§III.A). This crate is the MPI substrate: SPMD programs run as
 //! real OS threads (one per rank), communicating through typed point-to-
-//! point messages and the standard collectives, while a per-rank *virtual
-//! clock* accumulates simulated network costs from a [`simnet::Network`]
-//! cost model — so benches measure both real wall time and modeled cluster
-//! time.
+//! point messages and the barrier, broadcast and reduce collectives, while
+//! a per-rank *virtual clock* accumulates simulated network costs from a
+//! [`simnet::Network`] cost model — so benches measure both real wall time
+//! and modeled cluster time.
 //!
 //! ```
 //! use mpik::{World, Reduce};
@@ -26,5 +26,5 @@ pub mod collectives;
 pub mod proc;
 pub mod world;
 
-pub use proc::{MpiError, Msg, Proc, RecvRequest, Reduce, Tag};
+pub use proc::{MpiError, Msg, Proc, Reduce, Tag};
 pub use world::{RankStats, World, WorldError};

@@ -7,15 +7,13 @@ use std::fmt;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
-/// Message tag, MPI-style. Collectives reserve tags >= [`Tag::RESERVED`].
+/// Message tag, MPI-style. Collectives reserve tags >= `Tag::RESERVED`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Tag(pub u32);
 
 impl Tag {
     /// First tag value reserved for internal (collective) traffic.
-    pub const RESERVED: u32 = 0xFFFF_0000;
-    /// Tag usable by applications by default.
-    pub const DEFAULT: Tag = Tag(0);
+    pub(crate) const RESERVED: u32 = 0xFFFF_0000;
 }
 
 /// A wire message.
@@ -174,12 +172,12 @@ impl Proc {
     }
 
     /// Messages sent so far.
-    pub fn sent_count(&self) -> u64 {
+    pub(crate) fn sent_count(&self) -> u64 {
         self.sent
     }
 
     /// Payload bytes sent so far.
-    pub fn sent_bytes(&self) -> u64 {
+    pub(crate) fn sent_bytes(&self) -> u64 {
         self.bytes
     }
 
@@ -279,7 +277,7 @@ impl Proc {
     }
 
     /// Receive one i64.
-    pub fn recv_i64(&mut self, src: usize, tag: Tag) -> Result<i64, MpiError> {
+    pub(crate) fn recv_i64(&mut self, src: usize, tag: Tag) -> Result<i64, MpiError> {
         let m = self.recv(src, tag)?;
         decode_i64(&m.data)
     }
@@ -301,7 +299,7 @@ impl Proc {
 }
 
 /// Decode a single little-endian i64.
-pub fn decode_i64(data: &[u8]) -> Result<i64, MpiError> {
+pub(crate) fn decode_i64(data: &[u8]) -> Result<i64, MpiError> {
     let arr: [u8; 8] = data.try_into().map_err(|_| MpiError::Decode {
         expected: "i64",
         len: data.len(),
@@ -310,7 +308,7 @@ pub fn decode_i64(data: &[u8]) -> Result<i64, MpiError> {
 }
 
 /// Decode a packed little-endian i64 vector.
-pub fn decode_vec_i64(data: &[u8]) -> Result<Vec<i64>, MpiError> {
+pub(crate) fn decode_vec_i64(data: &[u8]) -> Result<Vec<i64>, MpiError> {
     if !data.len().is_multiple_of(8) {
         return Err(MpiError::Decode {
             expected: "Vec<i64>",
@@ -345,60 +343,5 @@ mod tests {
         let packed: Vec<u8> = [1i64, -2, 3].iter().flat_map(|v| v.to_le_bytes()).collect();
         assert_eq!(decode_vec_i64(&packed).unwrap(), vec![1, -2, 3]);
         assert!(decode_vec_i64(&[0; 9]).is_err());
-    }
-}
-
-/// Handle for a nonblocking receive posted with [`Proc::irecv`].
-///
-/// Complete it with [`Proc::wait`] (blocking) or poll with [`Proc::test`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvRequest {
-    /// Source rank the request matches.
-    pub src: usize,
-    /// Tag the request matches.
-    pub tag: Tag,
-}
-
-impl Proc {
-    /// Nonblocking send. With buffered (eager) delivery the message is on
-    /// the wire immediately, so the operation completes at once — the MPI
-    /// analogue is a buffered `MPI_Isend` whose request is instantly ready.
-    pub fn isend(&mut self, dst: usize, tag: Tag, data: Vec<u8>) -> Result<(), MpiError> {
-        self.send(dst, tag, data)
-    }
-
-    /// Post a nonblocking receive for `(src, tag)`.
-    pub fn irecv(&mut self, src: usize, tag: Tag) -> Result<RecvRequest, MpiError> {
-        if src >= self.size() {
-            return Err(MpiError::RankOutOfRange {
-                rank: src,
-                size: self.size(),
-            });
-        }
-        Ok(RecvRequest { src, tag })
-    }
-
-    /// Poll a posted receive: `Ok(Some(msg))` when a matching message has
-    /// arrived, `Ok(None)` when not yet. Never blocks.
-    pub fn test(&mut self, req: &RecvRequest) -> Result<Option<Msg>, MpiError> {
-        // Drain everything already delivered into the pending queue.
-        while let Ok(msg) = self.rx.try_recv() {
-            self.pending.push_back(msg);
-        }
-        if let Some(i) = self
-            .pending
-            .iter()
-            .position(|m| m.src == req.src && m.tag == req.tag)
-        {
-            let msg = self.pending.remove(i).expect("position valid");
-            self.vt = self.vt.max(msg.arrival_vt);
-            return Ok(Some(msg));
-        }
-        Ok(None)
-    }
-
-    /// Complete a posted receive, blocking until the message arrives.
-    pub fn wait(&mut self, req: RecvRequest) -> Result<Msg, MpiError> {
-        self.recv(req.src, req.tag)
     }
 }

@@ -19,7 +19,7 @@ pub struct RankStats {
     pub bytes_sent: u64,
 }
 
-/// World construction / execution failures.
+/// World execution failures.
 #[derive(Debug)]
 pub enum WorldError {
     /// A rank's thread panicked; the panic payload is rendered if stringy.
@@ -29,13 +29,6 @@ pub enum WorldError {
         /// Panic message when recoverable.
         message: String,
     },
-    /// World size must be >= 1 and fit the topology.
-    BadSize {
-        /// Requested ranks.
-        ranks: usize,
-        /// Topology node count.
-        nodes: usize,
-    },
 }
 
 impl fmt::Display for WorldError {
@@ -43,12 +36,6 @@ impl fmt::Display for WorldError {
         match self {
             WorldError::RankPanicked { rank, message } => {
                 write!(f, "rank {rank} panicked: {message}")
-            }
-            WorldError::BadSize { ranks, nodes } => {
-                write!(
-                    f,
-                    "world of {ranks} ranks does not fit topology of {nodes} nodes"
-                )
             }
         }
     }
@@ -78,20 +65,6 @@ impl World {
             size,
             net: Arc::new(Network::new(topo, profile)),
         }
-    }
-
-    /// A world over an existing network (e.g. [`Network::uhd_cluster`]).
-    pub fn with_network(size: usize, net: Network) -> Result<World, WorldError> {
-        if size == 0 || size > net.topology().len() {
-            return Err(WorldError::BadSize {
-                ranks: size,
-                nodes: net.topology().len(),
-            });
-        }
-        Ok(World {
-            size,
-            net: Arc::new(net),
-        })
     }
 
     /// Number of ranks.
@@ -196,11 +169,11 @@ mod tests {
         let out = w
             .run(|p| {
                 if p.rank() == 0 {
-                    p.send_i64(1, Tag::DEFAULT, 41).unwrap();
-                    p.recv_i64(1, Tag::DEFAULT).unwrap()
+                    p.send_i64(1, Tag(0), 41).unwrap();
+                    p.recv_i64(1, Tag(0)).unwrap()
                 } else {
-                    let v = p.recv_i64(0, Tag::DEFAULT).unwrap();
-                    p.send_i64(0, Tag::DEFAULT, v + 1).unwrap();
+                    let v = p.recv_i64(0, Tag(0)).unwrap();
+                    p.send_i64(0, Tag(0), v + 1).unwrap();
                     v
                 }
             })
@@ -236,9 +209,9 @@ mod tests {
         let (_, stats) = w
             .run_stats(|p| {
                 if p.rank() == 0 {
-                    p.send_i64(2, Tag::DEFAULT, 1).unwrap();
+                    p.send_i64(2, Tag(0), 1).unwrap();
                 } else if p.rank() == 2 {
-                    p.recv_i64(0, Tag::DEFAULT).unwrap();
+                    p.recv_i64(0, Tag(0)).unwrap();
                 }
             })
             .unwrap();
@@ -256,7 +229,7 @@ mod tests {
     fn self_send_rejected() {
         let w = ring4();
         let errs = w
-            .run(|p| p.send_i64(p.rank(), Tag::DEFAULT, 0).unwrap_err())
+            .run(|p| p.send_i64(p.rank(), Tag(0), 0).unwrap_err())
             .unwrap();
         assert!(errs.iter().all(|e| *e == MpiError::SelfSend));
     }
@@ -264,21 +237,10 @@ mod tests {
     #[test]
     fn bad_rank_rejected() {
         let w = ring4();
-        let errs = w
-            .run(|p| p.send_i64(99, Tag::DEFAULT, 0).unwrap_err())
-            .unwrap();
+        let errs = w.run(|p| p.send_i64(99, Tag(0), 0).unwrap_err()).unwrap();
         assert!(matches!(
             errs[0],
             MpiError::RankOutOfRange { rank: 99, size: 4 }
-        ));
-    }
-
-    #[test]
-    fn world_size_validation() {
-        let net = Network::new(Topology::ring(2), LinkProfile::new(1, 1));
-        assert!(matches!(
-            World::with_network(5, net),
-            Err(WorldError::BadSize { .. })
         ));
     }
 

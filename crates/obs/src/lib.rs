@@ -38,7 +38,7 @@ pub use events::{Event, EventLog};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSample, MetricsRegistry, SampleValue, SeriesSample,
 };
-pub use profiler::{Profiler, SlowOp, PROFILE_SITES, SLOW_OP_THRESHOLD_US};
+pub use profiler::{Profiler, SlowOp};
 pub use slo::{Alert, SloEngine, SloKind, SloSpec};
 pub use trace::{Span, SpanId, TraceContext, Tracer};
 pub use tsdb::{TimeSeriesStore, TsSample};

@@ -93,7 +93,7 @@ impl Histogram {
 
     /// Per-bucket (non-cumulative) counts; the final slot is the `+Inf`
     /// overflow bucket.
-    pub fn bucket_counts(&self) -> Vec<u64> {
+    pub(crate) fn bucket_counts(&self) -> Vec<u64> {
         self.0
             .buckets
             .iter()

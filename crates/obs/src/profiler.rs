@@ -21,7 +21,7 @@ use std::time::Instant;
 
 /// Instrumented sites, fixed at construction so every family is eagerly
 /// registered.
-pub const PROFILE_SITES: &[&str] = &[
+pub(crate) const PROFILE_SITES: &[&str] = &[
     "pool.steal",
     "pool.task",
     "portal.lock",
@@ -32,7 +32,7 @@ pub const PROFILE_SITES: &[&str] = &[
 ];
 
 /// Operations at or above this wall-clock duration are logged as slow.
-pub const SLOW_OP_THRESHOLD_US: u64 = 1_000;
+pub(crate) const SLOW_OP_THRESHOLD_US: u64 = 1_000;
 
 /// How many slowest operations the log retains.
 const SLOW_LOG_CAPACITY: usize = 32;
@@ -40,7 +40,7 @@ const SLOW_LOG_CAPACITY: usize = 32;
 /// One operation that crossed the slow-op threshold.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SlowOp {
-    /// Which instrumented site it came from (one of [`PROFILE_SITES`]).
+    /// Which instrumented site it came from (one of `PROFILE_SITES`).
     pub site: &'static str,
     /// Wall-clock duration in microseconds.
     pub us: u64,
@@ -62,7 +62,7 @@ pub struct Profiler {
 
 impl Profiler {
     /// Register the `ccp_lock_wait_us` / `ccp_slow_ops_total` families for
-    /// every site in [`PROFILE_SITES`] and return the shared handles.
+    /// every site in `PROFILE_SITES` and return the shared handles.
     pub fn new(registry: &MetricsRegistry) -> Self {
         registry.describe(
             "ccp_lock_wait_us",
@@ -103,7 +103,7 @@ impl Profiler {
     }
 
     /// Record one timed operation at `site`. `detail` is only evaluated
-    /// when the operation crosses [`SLOW_OP_THRESHOLD_US`].
+    /// when the operation crosses `SLOW_OP_THRESHOLD_US`.
     pub fn observe(&self, site: &'static str, us: u64, detail: impl FnOnce() -> String) {
         let h = self.handles(site);
         h.wait.record(us);

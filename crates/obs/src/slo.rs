@@ -156,7 +156,7 @@ impl SloEngine {
     }
 
     /// Objectives currently firing.
-    pub fn firing_count(&self) -> usize {
+    pub(crate) fn firing_count(&self) -> usize {
         self.slos.iter().filter(|s| s.firing).count()
     }
 }

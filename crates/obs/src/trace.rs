@@ -117,18 +117,6 @@ impl Tracer {
         })
     }
 
-    /// Open a child span.
-    pub fn begin_child(&self, parent: SpanId, name: &str, at: u64) -> SpanId {
-        self.push(|id| Span {
-            id,
-            parent: Some(parent.0),
-            name: name.to_string(),
-            start: at,
-            end: None,
-            attrs: Vec::new(),
-        })
-    }
-
     /// Close a span. Unknown ids (already evicted from the ring) are ignored.
     pub fn end(&self, id: SpanId, at: u64) {
         let mut inner = self.lock();
@@ -252,9 +240,8 @@ mod tests {
     fn spans_nest_and_close() {
         let t = Tracer::new(16);
         let root = t.begin("request", 10);
-        let child = t.begin_child(root, "compile", 11);
+        let child = t.event_child(root, "compile", 11, &[]);
         t.set_attr(child, "path", "lab1.mini");
-        t.end(child, 14);
         t.end(root, 15);
         let spans = t.snapshot();
         assert_eq!(spans.len(), 2);
@@ -282,11 +269,11 @@ mod tests {
     fn subtree_follows_parent_links_and_skips_other_traces() {
         let t = Tracer::new(16);
         let root = t.begin("request", 1);
-        let mid = t.begin_child(root, "sched", 2);
+        let mid = t.event_child(root, "sched", 2, &[]);
         t.event_child(mid, "wal.append", 3, &[("lsn", "7")]);
         t.event("unrelated", 4, &[]);
         let other = t.begin("other-request", 5);
-        t.begin_child(other, "child-of-other", 6);
+        t.event_child(other, "child-of-other", 6, &[]);
         t.event_child(root, "done", 9, &[]);
         let tree = t.subtree(root);
         assert_eq!(

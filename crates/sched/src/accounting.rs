@@ -44,7 +44,7 @@ impl Accounting {
 
     /// Record one retry dispatch (a job going back into the queue after a
     /// node loss, with budget remaining).
-    pub fn record_retry(&mut self, user: &str) {
+    pub(crate) fn record_retry(&mut self, user: &str) {
         self.users
             .entry(user.to_string())
             .or_default()
@@ -52,13 +52,13 @@ impl Accounting {
     }
 
     /// Record one node loss under a running job.
-    pub fn record_node_loss(&mut self, user: &str) {
+    pub(crate) fn record_node_loss(&mut self, user: &str) {
         self.users.entry(user.to_string()).or_default().node_losses += 1;
     }
 
     /// Record recovery wait: ticks between losing a node and the retry
     /// actually dispatching.
-    pub fn record_recovery(&mut self, user: &str, wait_ticks: u64) {
+    pub(crate) fn record_recovery(&mut self, user: &str, wait_ticks: u64) {
         self.users
             .entry(user.to_string())
             .or_default()
@@ -72,29 +72,13 @@ impl Accounting {
 
     /// Overwrite one user's usage wholesale (snapshot restore during crash
     /// recovery; normal accounting goes through the `record_*` methods).
-    pub fn set_usage(&mut self, user: &str, usage: UserUsage) {
+    pub(crate) fn set_usage(&mut self, user: &str, usage: UserUsage) {
         self.users.insert(user.to_string(), usage);
     }
 
     /// All users' usage, name-ordered.
     pub fn all(&self) -> impl Iterator<Item = (&str, &UserUsage)> {
         self.users.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Total core-ticks across users.
-    pub fn total_core_ticks(&self) -> u64 {
-        self.users.values().map(|u| u.core_ticks).sum()
-    }
-
-    /// A user's share of total consumption, in `[0, 1]`.
-    pub fn share(&self, user: &str) -> f64 {
-        let total = self.total_core_ticks();
-        if total == 0 {
-            return 0.0;
-        }
-        self.usage(user)
-            .map(|u| u.core_ticks as f64 / total as f64)
-            .unwrap_or(0.0)
     }
 }
 
@@ -112,9 +96,8 @@ mod tests {
         assert_eq!(alice.jobs_completed, 2);
         assert_eq!(alice.core_ticks, 150);
         assert_eq!(alice.wait_ticks, 5);
-        assert_eq!(a.total_core_ticks(), 200);
-        assert!((a.share("alice") - 0.75).abs() < 1e-12);
-        assert_eq!(a.share("nobody"), 0.0);
+        assert_eq!(a.usage("bob").unwrap().core_ticks, 50);
+        assert!(a.usage("nobody").is_none());
         assert_eq!(a.all().count(), 2);
     }
 
@@ -132,12 +115,5 @@ mod tests {
         assert_eq!(u.recovery_wait_ticks, 7);
         assert_eq!(u.wait_ticks, 3, "first-attempt wait untouched by recovery");
         assert_eq!(u.jobs_completed, 1);
-    }
-
-    #[test]
-    fn empty_ledger_shares_zero() {
-        let a = Accounting::new();
-        assert_eq!(a.share("x"), 0.0);
-        assert!(a.usage("x").is_none());
     }
 }

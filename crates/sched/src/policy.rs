@@ -147,7 +147,7 @@ impl SchedPolicyKind {
 
     /// Placement hint: for [`SchedPolicyKind::RoundRobinSegments`], which
     /// segment to prefer for the `n`-th dispatch.
-    pub fn preferred_segment(self, dispatch_count: u64, cluster: &Cluster) -> Option<usize> {
+    pub(crate) fn preferred_segment(self, dispatch_count: u64, cluster: &Cluster) -> Option<usize> {
         match self {
             SchedPolicyKind::RoundRobinSegments => {
                 let segs = cluster.spec().segment_count();

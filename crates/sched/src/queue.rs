@@ -306,11 +306,6 @@ impl Scheduler {
         self.policy
     }
 
-    /// The default retry policy.
-    pub fn default_retry(&self) -> RetryPolicy {
-        self.default_retry
-    }
-
     /// The backing cluster (read-only).
     pub fn cluster(&self) -> &Cluster {
         &self.cluster

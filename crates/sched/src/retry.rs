@@ -58,7 +58,7 @@ impl RetryPolicy {
     }
 
     /// May a job that has already used `attempts` attempts run again?
-    pub fn can_retry(&self, attempts: u32) -> bool {
+    pub(crate) fn can_retry(&self, attempts: u32) -> bool {
         attempts < self.max_attempts.max(1)
     }
 
@@ -66,7 +66,7 @@ impl RetryPolicy {
     /// Deterministic given the RNG state: exponential growth from
     /// [`RetryPolicy::base_backoff`], capped at [`RetryPolicy::max_backoff`],
     /// plus up to [`RetryPolicy::jitter`] extra ticks.
-    pub fn backoff_ticks(&self, attempt: u32, rng: &mut SplitMix64) -> u64 {
+    pub(crate) fn backoff_ticks(&self, attempt: u32, rng: &mut SplitMix64) -> u64 {
         let shift = attempt.saturating_sub(1).min(32);
         let exp = self.base_backoff.saturating_mul(1u64 << shift);
         let capped = exp.min(self.max_backoff.max(self.base_backoff));

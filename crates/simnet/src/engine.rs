@@ -1,12 +1,11 @@
 //! The discrete-event engine: a simulated clock plus an ordered event queue.
 //!
 //! The engine is generic over the event payload type `E`. The driving code
-//! pops events one at a time (or via [`Engine::run_with`]) and may schedule
-//! further events in response; the clock only moves when an event is popped,
-//! never backwards.
+//! pops events one at a time and may schedule further events in response;
+//! the clock only moves when an event is popped, never backwards.
 
 use crate::event::{EventId, Scheduled};
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::collections::{BinaryHeap, HashSet};
 use std::fmt;
 
@@ -20,12 +19,6 @@ pub enum EngineError {
         /// The (earlier) requested fire time.
         requested: SimTime,
     },
-    /// The event-count budget given to `run_with` was exhausted before the
-    /// queue drained; simulation state is still consistent.
-    BudgetExhausted {
-        /// Number of events that were processed before stopping.
-        processed: u64,
-    },
 }
 
 impl fmt::Display for EngineError {
@@ -37,9 +30,6 @@ impl fmt::Display for EngineError {
                     "cannot schedule event at {requested} before current time {now}"
                 )
             }
-            EngineError::BudgetExhausted { processed } => {
-                write!(f, "event budget exhausted after {processed} events")
-            }
         }
     }
 }
@@ -50,13 +40,15 @@ impl std::error::Error for EngineError {}
 ///
 /// ```
 /// use simnet::engine::Engine;
-/// use simnet::time::SimDuration;
+/// use simnet::time::SimTime;
 ///
 /// let mut eng: Engine<&str> = Engine::new();
-/// eng.schedule_after(SimDuration::from_nanos(5), "b");
-/// eng.schedule_after(SimDuration::from_nanos(2), "a");
+/// eng.schedule_at(SimTime(5), "b").unwrap();
+/// eng.schedule_at(SimTime(2), "a").unwrap();
 /// let mut order = Vec::new();
-/// eng.run_with(u64::MAX, |_eng, _t, ev| order.push(ev)).unwrap();
+/// while let Some((_t, ev)) = eng.next_event() {
+///     order.push(ev);
+/// }
 /// assert_eq!(order, vec!["a", "b"]);
 /// ```
 #[derive(Debug)]
@@ -105,11 +97,6 @@ impl<E> Engine<E> {
         self.live.len()
     }
 
-    /// True when no live events remain.
-    pub fn is_idle(&self) -> bool {
-        self.pending() == 0
-    }
-
     /// Schedule `payload` to fire at absolute time `at`.
     ///
     /// Returns an [`EventId`] usable with [`Engine::cancel`]. Fails if `at`
@@ -127,14 +114,6 @@ impl<E> Engine<E> {
         self.live.insert(id);
         self.queue.push(Scheduled { at, id, payload });
         Ok(id)
-    }
-
-    /// Schedule `payload` to fire `delay` after the current clock.
-    pub fn schedule_after(&mut self, delay: SimDuration, payload: E) -> EventId {
-        let at = self.now + delay;
-        // Cannot fail: now + delay >= now by construction.
-        self.schedule_at(at, payload)
-            .expect("future time is never in the past")
     }
 
     /// Cancel a pending event. Returns `true` if the event was still pending.
@@ -166,7 +145,7 @@ impl<E> Engine<E> {
     }
 
     /// Peek at the fire time of the next live event without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
         // Drop cancelled heads eagerly so peek is accurate.
         while let Some(head) = self.queue.peek() {
             if self.cancelled.contains(&head.id) {
@@ -177,24 +156,6 @@ impl<E> Engine<E> {
             }
         }
         None
-    }
-
-    /// Run the simulation to completion (or until `budget` events have been
-    /// processed), invoking `handler` for each event. The handler may
-    /// schedule further events on the engine it is handed.
-    pub fn run_with<F>(&mut self, budget: u64, mut handler: F) -> Result<(), EngineError>
-    where
-        F: FnMut(&mut Engine<E>, SimTime, E),
-    {
-        let mut used = 0u64;
-        while let Some((t, ev)) = self.next_event() {
-            handler(self, t, ev);
-            used += 1;
-            if used >= budget && !self.is_idle() {
-                return Err(EngineError::BudgetExhausted { processed: used });
-            }
-        }
-        Ok(())
     }
 
     /// Advance the clock to `t` without processing events, used by hybrid
@@ -223,27 +184,25 @@ mod tests {
     #[test]
     fn events_fire_in_time_order() {
         let mut eng: Engine<u32> = Engine::new();
-        eng.schedule_after(SimDuration(30), 3);
-        eng.schedule_after(SimDuration(10), 1);
-        eng.schedule_after(SimDuration(20), 2);
-        let mut seen = Vec::new();
-        eng.run_with(u64::MAX, |_e, _t, v| seen.push(v)).unwrap();
+        eng.schedule_at(SimTime(30), 3).unwrap();
+        eng.schedule_at(SimTime(10), 1).unwrap();
+        eng.schedule_at(SimTime(20), 2).unwrap();
+        let seen: Vec<u32> = std::iter::from_fn(|| eng.next_event().map(|(_, v)| v)).collect();
         assert_eq!(seen, vec![1, 2, 3]);
         assert_eq!(eng.now(), SimTime(30));
     }
 
     #[test]
-    fn handler_can_schedule_more() {
+    fn a_popped_event_can_schedule_more() {
         let mut eng: Engine<u32> = Engine::new();
-        eng.schedule_after(SimDuration(1), 0);
+        eng.schedule_at(SimTime(1), 0).unwrap();
         let mut count = 0;
-        eng.run_with(u64::MAX, |e, _t, v| {
+        while let Some((t, v)) = eng.next_event() {
             count += 1;
             if v < 4 {
-                e.schedule_after(SimDuration(1), v + 1);
+                eng.schedule_at(SimTime(t.nanos() + 1), v + 1).unwrap();
             }
-        })
-        .unwrap();
+        }
         assert_eq!(count, 5);
         assert_eq!(eng.now(), SimTime(5));
     }
@@ -251,7 +210,7 @@ mod tests {
     #[test]
     fn schedule_in_past_rejected() {
         let mut eng: Engine<u32> = Engine::new();
-        eng.schedule_after(SimDuration(10), 1);
+        eng.schedule_at(SimTime(10), 1).unwrap();
         eng.next_event();
         assert!(matches!(
             eng.schedule_at(SimTime(5), 2),
@@ -262,8 +221,8 @@ mod tests {
     #[test]
     fn cancel_suppresses_event() {
         let mut eng: Engine<u32> = Engine::new();
-        let a = eng.schedule_after(SimDuration(10), 1);
-        eng.schedule_after(SimDuration(20), 2);
+        let a = eng.schedule_at(SimTime(10), 1).unwrap();
+        eng.schedule_at(SimTime(20), 2).unwrap();
         assert!(eng.cancel(a));
         assert!(!eng.cancel(a), "double cancel reports false");
         let (_, v) = eng.next_event().unwrap();
@@ -278,21 +237,10 @@ mod tests {
     }
 
     #[test]
-    fn budget_exhaustion_reports_error() {
-        let mut eng: Engine<u32> = Engine::new();
-        for i in 0..10 {
-            eng.schedule_after(SimDuration(i), i as u32);
-        }
-        let r = eng.run_with(3, |_e, _t, _v| {});
-        assert_eq!(r, Err(EngineError::BudgetExhausted { processed: 3 }));
-        assert_eq!(eng.pending(), 7);
-    }
-
-    #[test]
     fn peek_skips_cancelled() {
         let mut eng: Engine<u32> = Engine::new();
-        let a = eng.schedule_after(SimDuration(5), 1);
-        eng.schedule_after(SimDuration(9), 2);
+        let a = eng.schedule_at(SimTime(5), 1).unwrap();
+        eng.schedule_at(SimTime(9), 2).unwrap();
         eng.cancel(a);
         assert_eq!(eng.peek_time(), Some(SimTime(9)));
     }
@@ -302,7 +250,7 @@ mod tests {
         let mut eng: Engine<u32> = Engine::new();
         eng.advance_to(SimTime(100)).unwrap();
         assert_eq!(eng.now(), SimTime(100));
-        eng.schedule_after(SimDuration(5), 1);
+        eng.schedule_at(SimTime(105), 1).unwrap();
         assert!(eng.advance_to(SimTime(200)).is_err());
     }
 
@@ -312,8 +260,7 @@ mod tests {
         eng.schedule_at(SimTime(7), 1).unwrap();
         eng.schedule_at(SimTime(7), 2).unwrap();
         eng.schedule_at(SimTime(7), 3).unwrap();
-        let mut seen = Vec::new();
-        eng.run_with(u64::MAX, |_e, _t, v| seen.push(v)).unwrap();
+        let seen: Vec<u32> = std::iter::from_fn(|| eng.next_event().map(|(_, v)| v)).collect();
         assert_eq!(seen, vec![1, 2, 3]);
     }
 }

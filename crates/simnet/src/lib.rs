@@ -46,7 +46,7 @@ pub mod prelude {
     pub use crate::link::{Link, LinkProfile};
     pub use crate::network::{MessageCost, Network, NetworkError};
     pub use crate::routing::{route, RouteError};
-    pub use crate::stats::{Counter, Histogram, RunningStats};
+    pub use crate::stats::{Counter, Histogram};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{NodeId, Topology, TopologyKind};
     pub use crate::traffic::{Flow, Pattern};

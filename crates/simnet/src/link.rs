@@ -76,7 +76,11 @@ impl Link {
 
     /// A link with pre-existing traffic history, used when swapping a link's
     /// profile without losing its statistics.
-    pub fn with_history(profile: LinkProfile, bytes_carried: u64, messages_carried: u64) -> Link {
+    pub(crate) fn with_history(
+        profile: LinkProfile,
+        bytes_carried: u64,
+        messages_carried: u64,
+    ) -> Link {
         Link {
             profile,
             bytes_carried,
@@ -97,12 +101,12 @@ impl Link {
     }
 
     /// Total bytes this link has carried.
-    pub fn bytes_carried(&self) -> u64 {
+    pub(crate) fn bytes_carried(&self) -> u64 {
         self.bytes_carried
     }
 
     /// Total messages this link has carried.
-    pub fn messages_carried(&self) -> u64 {
+    pub(crate) fn messages_carried(&self) -> u64 {
         self.messages_carried
     }
 }

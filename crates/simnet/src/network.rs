@@ -7,9 +7,8 @@
 
 use crate::link::{Link, LinkProfile};
 use crate::routing::{route, RouteError};
-use crate::stats::Counter;
 use crate::time::SimDuration;
-use crate::topology::{NodeId, Topology, TopologyKind};
+use crate::topology::{NodeId, Topology};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -62,8 +61,6 @@ pub struct Network {
     overrides: HashMap<(NodeId, NodeId), LinkProfile>,
     /// Live per-directed-link state (created lazily).
     links: HashMap<(NodeId, NodeId), Link>,
-    messages: Counter,
-    bytes: Counter,
 }
 
 impl Network {
@@ -74,8 +71,6 @@ impl Network {
             default_profile: profile,
             overrides: HashMap::new(),
             links: HashMap::new(),
-            messages: Counter::new("messages"),
-            bytes: Counter::new("bytes"),
         }
     }
 
@@ -118,7 +113,7 @@ impl Network {
     }
 
     /// Route and cost a message of `bytes` from `from` to `to`, updating
-    /// per-link and aggregate statistics.
+    /// per-link statistics.
     pub fn send(
         &mut self,
         from: NodeId,
@@ -133,8 +128,6 @@ impl Network {
             let link = self.links.entry(key).or_insert_with(|| Link::new(profile));
             total += link.carry(bytes);
         }
-        self.messages.add(1);
-        self.bytes.add(bytes);
         Ok(MessageCost {
             total,
             hops: path.len() - 1,
@@ -161,32 +154,12 @@ impl Network {
         })
     }
 
-    /// Total messages sent through [`Network::send`].
-    pub fn total_messages(&self) -> u64 {
-        self.messages.get()
-    }
-
-    /// Total payload bytes sent through [`Network::send`].
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes.get()
-    }
-
-    /// Bytes carried by the directed link `from -> to` (0 if never used).
-    pub fn link_bytes(&self, from: NodeId, to: NodeId) -> u64 {
-        self.links.get(&(from, to)).map_or(0, Link::bytes_carried)
-    }
-
     /// The busiest directed link so far, as `((from, to), bytes)`.
     pub fn hottest_link(&self) -> Option<((NodeId, NodeId), u64)> {
         self.links
             .iter()
             .max_by_key(|(k, l)| (l.bytes_carried(), std::cmp::Reverse(*k)))
             .map(|(k, l)| (*k, l.bytes_carried()))
-    }
-
-    /// Whether this network models the paper's segmented cluster.
-    pub fn is_cluster_fabric(&self) -> bool {
-        self.topo.kind() == TopologyKind::SegmentedCluster
     }
 }
 
@@ -216,14 +189,8 @@ mod tests {
         let mut net = Network::new(Topology::star(4), LinkProfile::new(10, 1_000_000_000));
         net.send(1, 2, 100).unwrap();
         net.send(1, 3, 50).unwrap();
-        assert_eq!(net.total_messages(), 2);
-        assert_eq!(net.total_bytes(), 150);
-        // Both went via the hub, so hub-outbound carried bytes too.
-        assert_eq!(net.link_bytes(1, 0), 150);
-        assert_eq!(net.link_bytes(0, 2), 100);
-        assert_eq!(net.link_bytes(0, 3), 50);
-        let ((_f, _t), b) = net.hottest_link().unwrap();
-        assert_eq!(b, 150);
+        // Both went via the hub, so the spoke-to-hub link carried both.
+        assert_eq!(net.hottest_link(), Some(((1, 0), 150)));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Routing: computing the hop path a message takes through a topology.
 //!
 //! Structured topologies get closed-form deterministic routes (dimension-
-//! ordered for meshes/tori/hypercubes, direction-of-shortest-arc for rings,
+//! ordered for meshes and hypercubes, direction-of-shortest-arc for rings,
 //! up-then-down for trees and the segmented cluster); anything else falls
 //! back to BFS. All routes are deterministic so message costs are replayable.
 
@@ -18,14 +18,6 @@ pub enum RouteError {
         /// Number of nodes in the topology.
         nodes: usize,
     },
-    /// No path exists (cannot happen for the built-in connected topologies,
-    /// but kept for forward compatibility with user-supplied graphs).
-    Unreachable {
-        /// Source node.
-        from: NodeId,
-        /// Destination node.
-        to: NodeId,
-    },
 }
 
 impl fmt::Display for RouteError {
@@ -34,7 +26,6 @@ impl fmt::Display for RouteError {
             RouteError::NodeOutOfRange { node, nodes } => {
                 write!(f, "node {node} out of range (topology has {nodes} nodes)")
             }
-            RouteError::Unreachable { from, to } => write!(f, "no route from {from} to {to}"),
         }
     }
 }
@@ -58,8 +49,7 @@ pub fn route(topo: &Topology, from: NodeId, to: NodeId) -> Result<Vec<NodeId>, R
     let path = match topo.kind() {
         TopologyKind::Star => route_star(from, to),
         TopologyKind::Ring => route_ring(n, from, to),
-        TopologyKind::Mesh2D => route_mesh(topo, from, to, false),
-        TopologyKind::Torus2D => route_mesh(topo, from, to, true),
+        TopologyKind::Mesh2D => route_mesh(topo, from, to),
         TopologyKind::Hypercube => route_hypercube(from, to),
         TopologyKind::Tree => route_tree(n, from, to),
         TopologyKind::FullyConnected => vec![from, to],
@@ -70,11 +60,6 @@ pub fn route(topo: &Topology, from: NodeId, to: NodeId) -> Result<Vec<NodeId>, R
         "generated route is not a valid walk"
     );
     Ok(path)
-}
-
-/// Number of hops between two nodes (path length minus one).
-pub fn hop_count(topo: &Topology, from: NodeId, to: NodeId) -> Result<usize, RouteError> {
-    Ok(route(topo, from, to)?.len() - 1)
 }
 
 fn route_star(from: NodeId, to: NodeId) -> Vec<NodeId> {
@@ -105,37 +90,19 @@ fn route_ring(n: usize, from: NodeId, to: NodeId) -> Vec<NodeId> {
     path
 }
 
-/// Dimension-ordered (X-then-Y) routing for meshes; tori additionally pick
-/// the shorter wrap direction per dimension.
-fn route_mesh(topo: &Topology, from: NodeId, to: NodeId, wrap: bool) -> Vec<NodeId> {
-    let (rows, cols) = topo.dims();
+/// Dimension-ordered (X-then-Y) routing for meshes.
+fn route_mesh(topo: &Topology, from: NodeId, to: NodeId) -> Vec<NodeId> {
+    let (_, cols) = topo.dims();
     let (mut r, mut c) = (from / cols, from % cols);
     let (tr, tc) = (to / cols, to % cols);
     let mut path = vec![from];
-    let step_toward = |cur: usize, target: usize, extent: usize| -> usize {
-        if cur == target {
-            return cur;
-        }
-        if wrap {
-            let fwd = (target + extent - cur) % extent;
-            let back = (cur + extent - target) % extent;
-            if fwd <= back {
-                (cur + 1) % extent
-            } else {
-                (cur + extent - 1) % extent
-            }
-        } else if target > cur {
-            cur + 1
-        } else {
-            cur - 1
-        }
-    };
+    let step_toward = |cur: usize, target: usize| if target > cur { cur + 1 } else { cur - 1 };
     while c != tc {
-        c = step_toward(c, tc, cols);
+        c = step_toward(c, tc);
         path.push(r * cols + c);
     }
     while r != tr {
-        r = step_toward(r, tr, rows);
+        r = step_toward(r, tr);
         path.push(r * cols + c);
     }
     path
@@ -275,16 +242,6 @@ mod tests {
         let t = Topology::mesh2d(4, 4);
         let p = route(&t, 0, 15).unwrap();
         assert_eq!(p, vec![0, 1, 2, 3, 7, 11, 15]);
-        for a in 0..16 {
-            for b in 0..16 {
-                assert_shortest(&t, a, b);
-            }
-        }
-    }
-
-    #[test]
-    fn torus_uses_wraparound() {
-        let t = Topology::torus2d(4, 4);
         for a in 0..16 {
             for b in 0..16 {
                 assert_shortest(&t, a, b);

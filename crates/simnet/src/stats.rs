@@ -1,5 +1,5 @@
-//! Lightweight statistics used throughout the simulator and benches:
-//! counters, running mean/variance (Welford), and fixed-bucket histograms.
+//! Lightweight statistics for the simulator: counters and fixed-bucket
+//! histograms.
 
 use std::fmt;
 
@@ -43,99 +43,6 @@ impl fmt::Display for Counter {
     }
 }
 
-/// Online mean/variance accumulator (Welford's algorithm).
-///
-/// Numerically stable for long runs, unlike naive sum-of-squares.
-#[derive(Debug, Clone, Default)]
-pub struct RunningStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// An empty accumulator.
-    pub fn new() -> RunningStats {
-        RunningStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Fold one observation in.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Unbiased sample variance (0.0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-
-    /// Merge another accumulator into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
 /// A histogram over `[lo, hi)` with uniform-width buckets plus underflow and
 /// overflow bins.
 #[derive(Debug, Clone)]
@@ -145,7 +52,7 @@ pub struct Histogram {
     buckets: Vec<u64>,
     underflow: u64,
     overflow: u64,
-    stats: RunningStats,
+    count: u64,
 }
 
 impl Histogram {
@@ -161,13 +68,13 @@ impl Histogram {
             buckets: vec![0; buckets],
             underflow: 0,
             overflow: 0,
-            stats: RunningStats::new(),
+            count: 0,
         }
     }
 
     /// Record one observation.
     pub fn record(&mut self, x: f64) {
-        self.stats.push(x);
+        self.count += 1;
         if x < self.lo {
             self.underflow += 1;
         } else if x >= self.hi {
@@ -182,7 +89,7 @@ impl Histogram {
 
     /// Total observations, including under/overflow.
     pub fn count(&self) -> u64 {
-        self.stats.count()
+        self.count
     }
 
     /// The bucket counts (excluding under/overflow).
@@ -222,11 +129,6 @@ impl Histogram {
         }
         Some(self.hi)
     }
-
-    /// Summary statistics of everything recorded.
-    pub fn stats(&self) -> &RunningStats {
-        &self.stats
-    }
 }
 
 #[cfg(test)]
@@ -240,48 +142,6 @@ mod tests {
         c.incr();
         assert_eq!(c.get(), u64::MAX);
         assert_eq!(c.to_string(), format!("x={}", u64::MAX));
-    }
-
-    #[test]
-    fn running_stats_mean_var() {
-        let mut s = RunningStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        // Sample variance of that classic set is 32/7.
-        assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn empty_stats_are_zero() {
-        let s = RunningStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = RunningStats::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
     }
 
     #[test]

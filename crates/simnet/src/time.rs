@@ -33,12 +33,6 @@ impl SimTime {
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// This instant expressed in (floating-point) microseconds, for reporting.
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
 }
 
 impl SimDuration {
@@ -73,12 +67,6 @@ impl SimDuration {
     #[inline]
     pub fn nanos(self) -> u64 {
         self.0
-    }
-
-    /// Duration as floating-point microseconds, for reporting.
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
     }
 
     /// Saturating duration scaling, used when costing multi-hop transfers.

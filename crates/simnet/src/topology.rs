@@ -19,8 +19,6 @@ pub enum TopologyKind {
     Ring,
     /// A `rows x cols` grid without wraparound.
     Mesh2D,
-    /// A `rows x cols` grid with wraparound links.
-    Torus2D,
     /// A `2^d`-node binary hypercube.
     Hypercube,
     /// A complete binary tree (node 0 the root).
@@ -38,7 +36,6 @@ impl fmt::Display for TopologyKind {
             TopologyKind::Star => "star",
             TopologyKind::Ring => "ring",
             TopologyKind::Mesh2D => "mesh2d",
-            TopologyKind::Torus2D => "torus2d",
             TopologyKind::Hypercube => "hypercube",
             TopologyKind::Tree => "tree",
             TopologyKind::FullyConnected => "fully-connected",
@@ -58,9 +55,9 @@ impl fmt::Display for TopologyKind {
 pub struct Topology {
     kind: TopologyKind,
     nodes: usize,
-    /// Grid rows (mesh/torus) or hypercube dimension, otherwise 0.
+    /// Grid rows (mesh) or hypercube dimension, otherwise 0.
     dim_a: usize,
-    /// Grid cols (mesh/torus), otherwise 0.
+    /// Grid cols (mesh), otherwise 0.
     dim_b: usize,
     /// SegmentedCluster: number of segments.
     segments: usize,
@@ -100,22 +97,6 @@ impl Topology {
         assert!(rows >= 1 && cols >= 1, "mesh dimensions must be positive");
         Topology {
             kind: TopologyKind::Mesh2D,
-            nodes: rows * cols,
-            dim_a: rows,
-            dim_b: cols,
-            segments: 0,
-            slaves_per_segment: 0,
-        }
-    }
-
-    /// A `rows x cols` torus (mesh with wraparound links).
-    pub fn torus2d(rows: usize, cols: usize) -> Topology {
-        assert!(
-            rows >= 2 && cols >= 2,
-            "torus dimensions must be at least 2"
-        );
-        Topology {
-            kind: TopologyKind::Torus2D,
             nodes: rows * cols,
             dim_a: rows,
             dim_b: cols,
@@ -202,18 +183,12 @@ impl Topology {
     }
 
     /// Grid rows / hypercube dimension, when meaningful.
-    pub fn dims(&self) -> (usize, usize) {
+    pub(crate) fn dims(&self) -> (usize, usize) {
         (self.dim_a, self.dim_b)
     }
 
-    /// SegmentedCluster parameters `(segments, slaves_per_segment)`;
-    /// `(0, 0)` for other kinds.
-    pub fn segment_params(&self) -> (usize, usize) {
-        (self.segments, self.slaves_per_segment)
-    }
-
     /// For a segmented cluster: the id of segment `s`'s master node.
-    pub fn segment_master(&self, s: usize) -> Option<NodeId> {
+    pub(crate) fn segment_master(&self, s: usize) -> Option<NodeId> {
         if self.kind == TopologyKind::SegmentedCluster && s < self.segments {
             Some(1 + s * (1 + self.slaves_per_segment))
         } else {
@@ -267,7 +242,7 @@ impl Topology {
                     vec![prev, next]
                 }
             }
-            TopologyKind::Mesh2D | TopologyKind::Torus2D => self.grid_neighbors(node),
+            TopologyKind::Mesh2D => self.grid_neighbors(node),
             TopologyKind::Hypercube => (0..self.dim_a).map(|b| node ^ (1 << b)).collect(),
             TopologyKind::Tree => {
                 let mut v = Vec::new();
@@ -292,31 +267,20 @@ impl Topology {
     fn grid_neighbors(&self, node: NodeId) -> Vec<NodeId> {
         let (rows, cols) = (self.dim_a, self.dim_b);
         let (r, c) = (node / cols, node % cols);
-        let wrap = self.kind == TopologyKind::Torus2D;
         let mut v = Vec::with_capacity(4);
-        // Up / down / left / right, with optional wraparound.
+        // Up, left, right, down: ascending node order.
         if r > 0 {
             v.push((r - 1) * cols + c);
-        } else if wrap && rows > 1 {
-            v.push((rows - 1) * cols + c);
-        }
-        if r + 1 < rows {
-            v.push((r + 1) * cols + c);
-        } else if wrap && rows > 1 && r != 0 {
-            v.push(c);
         }
         if c > 0 {
             v.push(r * cols + (c - 1));
-        } else if wrap && cols > 1 {
-            v.push(r * cols + (cols - 1));
         }
         if c + 1 < cols {
             v.push(r * cols + (c + 1));
-        } else if wrap && cols > 1 && c != 0 {
-            v.push(r * cols);
         }
-        v.sort_unstable();
-        v.dedup();
+        if r + 1 < rows {
+            v.push((r + 1) * cols + c);
+        }
         v
     }
 
@@ -341,7 +305,7 @@ impl Topology {
     }
 
     /// True when `a` and `b` share a direct link.
-    pub fn are_adjacent(&self, a: NodeId, b: NodeId) -> bool {
+    pub(crate) fn are_adjacent(&self, a: NodeId, b: NodeId) -> bool {
         a != b && self.neighbors(a).contains(&b)
     }
 
@@ -405,15 +369,6 @@ mod tests {
         c.sort_unstable();
         assert_eq!(c, vec![1, 3, 5, 7]);
         assert_eq!(t.diameter(), 4);
-    }
-
-    #[test]
-    fn torus_wraps() {
-        let t = Topology::torus2d(3, 3);
-        let mut n0 = t.neighbors(0);
-        n0.sort_unstable();
-        assert_eq!(n0, vec![1, 2, 3, 6]);
-        assert_eq!(t.diameter(), 2);
     }
 
     #[test]

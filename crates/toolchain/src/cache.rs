@@ -2,7 +2,7 @@
 //! with LRU eviction and hit/miss/eviction accounting.
 //!
 //! The key is the source text alone. Only minilang reaches the compiler
-//! ([`crate::LanguageId::executable_here`]) and the compiler takes no
+//! (`LanguageId::executable_here`) and the compiler takes no
 //! flags, so the text decides the program. The key hashes the *content*,
 //! not the owner: thirty students submitting the same starter code share
 //! one compilation. The per-owner [`crate::ArtifactId`] namespace is
@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 /// Cache key: FNV-1a over the source text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CacheKey(u64);
+pub(crate) struct CacheKey(u64);
 
 impl CacheKey {
     /// Derive the key for a source text.

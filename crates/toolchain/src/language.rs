@@ -38,7 +38,7 @@ impl fmt::Display for LanguageId {
 
 impl LanguageId {
     /// Detect from a filename extension.
-    pub fn from_extension(path: &str) -> LanguageId {
+    pub(crate) fn from_extension(path: &str) -> LanguageId {
         let ext = path.rsplit('.').next().unwrap_or("").to_ascii_lowercase();
         match ext.as_str() {
             "c" => LanguageId::C,
@@ -50,7 +50,7 @@ impl LanguageId {
     }
 
     /// Content sniffing for extensionless uploads.
-    pub fn sniff(source: &str) -> LanguageId {
+    pub(crate) fn sniff(source: &str) -> LanguageId {
         let head: String = source.lines().take(50).collect::<Vec<_>>().join("\n");
         if head.contains("#include") {
             return if head.contains("std::")
@@ -85,13 +85,13 @@ impl LanguageId {
     }
 
     /// Can this portal execute the language directly?
-    pub fn executable_here(self) -> bool {
+    pub(crate) fn executable_here(self) -> bool {
         self == LanguageId::MiniLang
     }
 
     /// One-line porting hint shown by the pipeline for non-executable
     /// languages.
-    pub fn porting_hint(self) -> Option<&'static str> {
+    pub(crate) fn porting_hint(self) -> Option<&'static str> {
         match self {
             LanguageId::C | LanguageId::Cpp => Some(
                 "this cluster executes the MiniLang teaching dialect: replace type declarations with `var`, \

@@ -19,8 +19,6 @@ use vfs::Vfs;
 pub enum Severity {
     /// Fatal problem; no artifact produced.
     Error,
-    /// Advisory.
-    Warning,
     /// Informational (e.g. porting hints).
     Note,
 }
@@ -29,7 +27,6 @@ impl fmt::Display for Severity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             Severity::Error => "error",
-            Severity::Warning => "warning",
             Severity::Note => "note",
         })
     }

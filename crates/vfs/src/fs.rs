@@ -170,7 +170,7 @@ struct UserAccount {
 
 /// The superuser name; bypasses permission checks (but not quotas — root has
 /// an unlimited quota instead).
-pub const ROOT_USER: &str = "root";
+pub(crate) const ROOT_USER: &str = "root";
 
 /// The in-memory virtual filesystem.
 #[derive(Debug)]
@@ -265,14 +265,6 @@ impl Vfs {
         m.mode = Mode::private();
         m.mtime = t;
         Ok(())
-    }
-
-    /// The user's home directory path.
-    pub fn home_of(&self, user: &str) -> Result<VPath, VfsError> {
-        if !self.users.contains_key(user) {
-            return Err(VfsError::NoSuchUser(user.to_string()));
-        }
-        VPath::parse("/home")?.join(user)
     }
 
     /// `(used, limit)` quota bytes for `user`.
@@ -1339,7 +1331,6 @@ mod tests {
             fs.read("ghost", "/home"),
             Err(VfsError::NoSuchUser(_))
         ));
-        assert!(matches!(fs.home_of("ghost"), Err(VfsError::NoSuchUser(_))));
     }
 
     #[test]

@@ -60,7 +60,7 @@ impl VPath {
     }
 
     /// True for the root directory.
-    pub fn is_root(&self) -> bool {
+    pub(crate) fn is_root(&self) -> bool {
         self.components.is_empty()
     }
 

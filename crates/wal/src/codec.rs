@@ -179,7 +179,7 @@ impl<'a> Dec<'a> {
 }
 
 /// FNV-1a 64-bit checksum over `parts`, concatenated in order.
-pub fn fnv1a64(parts: &[&[u8]]) -> u64 {
+pub(crate) fn fnv1a64(parts: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for part in parts {
         for &b in *part {

@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Log sequence number: 1-based, strictly monotonic per journal.
-pub type Lsn = u64;
+pub(crate) type Lsn = u64;
 
 /// Record header bytes after the length field (lsn + crc + tag).
 const RECORD_HEADER: usize = 17;

@@ -27,8 +27,8 @@ pub mod codec;
 pub mod journal;
 pub mod storage;
 
-pub use codec::{fnv1a64, CodecError, Dec, Enc};
+pub use codec::{CodecError, Dec, Enc};
 pub use journal::{
-    FsyncPolicy, Journal, JournalHooks, Lsn, Recovered, RecoveryReport, Stream, WalError,
+    FsyncPolicy, Journal, JournalHooks, Recovered, RecoveryReport, Stream, WalError,
 };
 pub use storage::{FileStorage, MemStorage, WalStorage};

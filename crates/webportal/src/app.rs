@@ -206,6 +206,8 @@ pub fn build_router(app: Arc<App>) -> Router {
         let app = Arc::clone(&app);
         router.post("/api/admin/users", move |req| {
             let token = need_token!(req);
+            // A bogus session gets its 401 before the body is parsed.
+            try_portal!(app.read(|p| p.whoami(&token, now())));
             let Some(body) = json_body(req) else {
                 return Response::error(Status::BAD_REQUEST, "expected JSON body");
             };
@@ -523,6 +525,8 @@ pub fn build_router(app: Arc<App>) -> Router {
         let app = Arc::clone(&app);
         router.post("/api/jobs", move |req| {
             let token = need_token!(req);
+            // A bogus session gets its 401 before the body is parsed.
+            try_portal!(app.read(|p| p.whoami(&token, now())));
             let Some(body) = json_body(req) else {
                 return Response::error(Status::BAD_REQUEST, "expected JSON body");
             };

@@ -982,6 +982,46 @@ fn upload_with_a_bogus_session_gets_401() {
 }
 
 #[test]
+fn json_routes_with_a_bogus_session_get_401_before_the_body_is_parsed() {
+    let (_app, router) = test_app();
+    for path in ["/api/admin/users", "/api/jobs"] {
+        let resp = dispatch(
+            &router,
+            Method::Post,
+            path,
+            b"not json",
+            Some("not-a-session"),
+        );
+        assert_eq!(
+            resp.status,
+            Status::UNAUTHORIZED,
+            "{path}: {}",
+            resp.body_str()
+        );
+    }
+}
+
+#[test]
+fn json_routes_with_a_valid_session_still_reject_a_body_that_is_not_json() {
+    let (_app, router) = test_app();
+    let admin = login(&router, "admin", "super-secret9");
+    for path in ["/api/admin/users", "/api/jobs"] {
+        let resp = dispatch(&router, Method::Post, path, b"not json", Some(&admin));
+        assert_eq!(
+            resp.status,
+            Status::BAD_REQUEST,
+            "{path}: {}",
+            resp.body_str()
+        );
+        assert!(
+            resp.body_str().contains("expected JSON body"),
+            "{path}: {}",
+            resp.body_str()
+        );
+    }
+}
+
+#[test]
 fn analyze_endpoint_reports_race_with_repro() {
     let (app, router) = test_app();
     let tok = make_student(&app, &router, "alice");

@@ -279,32 +279,3 @@ fn whole_stack_determinism() {
     assert_eq!(a.executed, b.executed);
     assert_eq!(a.main_result, b.main_result);
 }
-
-/// The accelerator node exists in the default cluster and its cost model
-/// produces the CPU/accelerator crossover the coursework explores.
-#[test]
-fn accelerator_present_and_crossover_exists() {
-    let cluster = cluster::Cluster::new(ClusterSpec::uhd());
-    let gpu = cluster
-        .accelerator_node()
-        .expect("uhd spec has a GPU machine");
-    assert_eq!(
-        cluster.node_spec(gpu).unwrap().class,
-        cluster::NodeClass::Accelerator
-    );
-    let acc = cluster::Accelerator::default();
-    let small = cluster::KernelProfile {
-        work_items: 64,
-        ops_per_item: 8,
-        bytes_in: 64,
-        bytes_out: 64,
-    };
-    let large = cluster::KernelProfile {
-        work_items: 1 << 20,
-        ops_per_item: 128,
-        bytes_in: 1 << 20,
-        bytes_out: 0,
-    };
-    assert!(acc.speedup_vs_cpu(&small, 2600) < 1.0);
-    assert!(acc.speedup_vs_cpu(&large, 2600) > 1.0);
-}

@@ -334,7 +334,8 @@ fn portal_compile_path_uses_cache_and_surfaces_metrics() {
     let stats = portal.compile_cache_stats();
     assert_eq!((stats.hits, stats.misses), (1, 1));
 
-    let text = portal.metrics_text();
+    portal.publish_gauges();
+    let text = portal.obs().metrics.render();
     for family in [
         "# TYPE ccp_compile_cache_hits_total counter",
         "# TYPE ccp_compile_cache_misses_total counter",

@@ -162,7 +162,7 @@ fn password_roundtrip() {
     for _ in 0..128 {
         let pw = text(&mut rng, &printable(), 8..25);
         let wrong = text(&mut rng, &printable(), 8..25);
-        let h = auth::PasswordHash::create_seeded(&pw, policy, 11);
+        let h = auth::PasswordHash::create(&pw, policy);
         assert!(h.verify(&pw), "{pw:?}");
         if wrong != pw {
             assert!(!h.verify(&wrong), "{pw:?} accepted {wrong:?}");
