@@ -32,4 +32,4 @@ pub mod user;
 pub use password::{PasswordHash, PasswordPolicy};
 pub use session::{Session, SessionError, SessionManager, Token};
 pub use sha256::Sha256;
-pub use user::{AuthError, Role, User, UserStore};
+pub use user::{AuthError, CheckedLogin, LoginAttempt, Role, User, UserStore};

@@ -110,8 +110,46 @@ pub struct User {
     locked: bool,
 }
 
+impl User {
+    fn locked_error(&self) -> AuthError {
+        AuthError::AccountLocked {
+            user: self.username.clone(),
+            failures: self.consecutive_failures,
+        }
+    }
+}
+
 /// Maximum consecutive failures before lockout.
 pub(crate) const LOCKOUT_THRESHOLD: u32 = 5;
+
+/// A login in flight: the account's credential record, captured by
+/// [`UserStore::begin_login`] so that the password stretch needs no access
+/// to the store.
+#[derive(Debug)]
+pub struct LoginAttempt {
+    username: String,
+    hash: PasswordHash,
+}
+
+impl LoginAttempt {
+    /// Stretch `password` against the captured credential: the expensive
+    /// part of a login, which holds no lock.
+    pub fn check(self, password: &str) -> CheckedLogin {
+        let matched = self.hash.verify(password);
+        CheckedLogin {
+            attempt: self,
+            matched,
+        }
+    }
+}
+
+/// A [`LoginAttempt`] whose password was checked, for
+/// [`UserStore::settle_login`] to count.
+#[derive(Debug)]
+pub struct CheckedLogin {
+    attempt: LoginAttempt,
+    matched: bool,
+}
 
 /// The account database.
 #[derive(Debug, Default)]
@@ -156,33 +194,60 @@ impl UserStore {
         Ok(())
     }
 
-    /// Verify a login attempt. Success resets the failure counter; failure
-    /// increments it and locks the account at `LOCKOUT_THRESHOLD`.
+    /// Verify a login attempt: [`UserStore::begin_login`], then
+    /// [`LoginAttempt::check`], then [`UserStore::settle_login`].
     pub fn verify(&mut self, username: &str, password: &str) -> Result<&User, AuthError> {
+        let checked = self.begin_login(username)?.check(password);
+        self.settle_login(checked)
+    }
+
+    /// Start a login: capture the account's credential record, so the
+    /// password can be stretched against it with no lock on the store. An
+    /// unknown user or a locked account is refused here, before any
+    /// stretching, and the refusal counts no attempt.
+    pub fn begin_login(&self, username: &str) -> Result<LoginAttempt, AuthError> {
         let user = self
             .users
-            .get_mut(username)
+            .get(username)
             .ok_or_else(|| AuthError::UnknownUser(username.to_string()))?;
         if user.locked {
-            return Err(AuthError::AccountLocked {
-                user: username.to_string(),
-                failures: user.consecutive_failures,
-            });
+            return Err(user.locked_error());
         }
-        if user.hash.verify(password) {
+        Ok(LoginAttempt {
+            username: user.username.clone(),
+            hash: user.hash.clone(),
+        })
+    }
+
+    /// Count a checked login attempt. Success resets the failure counter;
+    /// failure increments it and locks the account at
+    /// `LOCKOUT_THRESHOLD`, so attempts checked concurrently lock it
+    /// exactly as serialized ones do. An account locked since the attempt
+    /// began refuses even a matching password. A credential record that
+    /// changed since then is not the one the password was checked
+    /// against, so the attempt is refused and not counted.
+    pub fn settle_login(&mut self, checked: CheckedLogin) -> Result<&User, AuthError> {
+        let LoginAttempt { username, hash } = checked.attempt;
+        let user = self
+            .users
+            .get_mut(&username)
+            .ok_or(AuthError::UnknownUser(username))?;
+        if user.hash != hash {
+            return Err(AuthError::BadCredentials);
+        }
+        if user.locked {
+            return Err(user.locked_error());
+        }
+        if checked.matched {
             user.consecutive_failures = 0;
-            Ok(&self.users[username])
-        } else {
-            user.consecutive_failures += 1;
-            if user.consecutive_failures >= LOCKOUT_THRESHOLD {
-                user.locked = true;
-                return Err(AuthError::AccountLocked {
-                    user: username.to_string(),
-                    failures: user.consecutive_failures,
-                });
-            }
-            Err(AuthError::BadCredentials)
+            return Ok(user);
         }
+        user.consecutive_failures += 1;
+        if user.consecutive_failures >= LOCKOUT_THRESHOLD {
+            user.locked = true;
+            return Err(user.locked_error());
+        }
+        Err(AuthError::BadCredentials)
     }
 
     /// Admin operation: clear a lockout.
@@ -308,6 +373,55 @@ mod tests {
             s.verify("alice", "wrong-pass"),
             Err(AuthError::BadCredentials)
         ));
+    }
+
+    #[test]
+    fn attempts_checked_concurrently_lock_at_the_threshold() {
+        let mut s = store();
+        s.register("alice", "p4ssword!", Role::Student).unwrap();
+        // Every attempt begins before any settles, as when logins stretch
+        // side by side; the right password is among them.
+        let right = s.begin_login("alice").unwrap();
+        let wrong: Vec<LoginAttempt> = (0..LOCKOUT_THRESHOLD)
+            .map(|_| s.begin_login("alice").unwrap())
+            .collect();
+        let right = right.check("p4ssword!");
+        let wrong: Vec<CheckedLogin> = wrong.into_iter().map(|a| a.check("nope-nope")).collect();
+        let results: Vec<_> = wrong
+            .into_iter()
+            .map(|c| s.settle_login(c).map(|_| ()))
+            .collect();
+        for r in &results[..results.len() - 1] {
+            assert_eq!(r, &Err(AuthError::BadCredentials));
+        }
+        assert!(matches!(
+            results.last().unwrap(),
+            Err(AuthError::AccountLocked { failures, .. }) if *failures == LOCKOUT_THRESHOLD
+        ));
+        // The matching password settles after the lock: no login.
+        assert!(matches!(
+            s.settle_login(right),
+            Err(AuthError::AccountLocked { .. })
+        ));
+        // A locked account is refused before any stretching.
+        assert!(matches!(
+            s.begin_login("alice"),
+            Err(AuthError::AccountLocked { .. })
+        ));
+    }
+
+    #[test]
+    fn an_attempt_checked_against_a_replaced_credential_is_not_counted() {
+        let mut s = store();
+        s.register("alice", "p4ssword!", Role::Student).unwrap();
+        let attempt = s.begin_login("alice").unwrap().check("p4ssword!");
+        s.users.get_mut("alice").unwrap().hash = PasswordHash::create("new-secret!", s.policy);
+        assert_eq!(
+            s.settle_login(attempt).map(|_| ()),
+            Err(AuthError::BadCredentials)
+        );
+        assert_eq!(s.get("alice").unwrap().consecutive_failures, 0);
+        assert!(s.verify("alice", "new-secret!").is_ok());
     }
 
     #[test]

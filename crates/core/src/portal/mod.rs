@@ -8,10 +8,13 @@
 //! * `read` — `&self` views (listings, job status, dashboards) that are
 //!   safe under a shared read lock;
 //! * `write` — `&mut self` mutations, including the scheduler tick,
-//!   which stay single-writer so tick-domain determinism is preserved;
+//!   whose state changes stay single-writer so tick-domain determinism is
+//!   preserved;
 //! * `heavy` — compile / execute / analyze, split into begin → run →
 //!   commit phases so the expensive middle runs with **no** portal lock
-//!   held.
+//!   held. The tick (`write`) and the login (`session`) are phased the
+//!   same way: a tick's job executions and a login's password stretch
+//!   hold no portal lock either.
 
 mod durable;
 mod heavy;
@@ -21,6 +24,7 @@ mod write;
 
 pub use heavy::{AnalyzeDone, AnalyzePhase, CompileDone, CompilePhase, RunDone, RunPhase};
 pub use session::SessionStamp;
+pub use write::{TickDone, TickPhase};
 
 use crate::error::PortalError;
 use auth::{Role, SessionManager, UserStore};

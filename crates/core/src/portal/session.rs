@@ -1,10 +1,14 @@
 //! Session facade: authentication, token lifecycle, account
 //! administration — and the [`SessionStamp`] that lets heavy operations
 //! prove, at commit time, that the session that started them still exists.
+//!
+//! A login is phased like the heavy operations: the credential is read
+//! under the read guard, the password is stretched with no portal lock,
+//! and the attempt is counted under a brief write guard.
 
 use super::Portal;
 use crate::error::PortalError;
-use auth::{Role, SessionError, Token};
+use auth::{CheckedLogin, LoginAttempt, Role, SessionError, Token};
 use vfs::VfsError;
 
 /// Quota in bytes for each account created through the admin API.
@@ -34,10 +38,28 @@ pub struct SessionStamp {
 impl Portal {
     // ---- sessions ----------------------------------------------------------
 
-    /// Authenticate and mint a session token.
+    /// Authenticate and mint a session token. One call, all three phases:
+    /// [`Portal::login_begin`], [`LoginAttempt::check`],
+    /// [`Portal::login_commit`].
     pub fn login(&mut self, name: &str, password: &str, now: u64) -> Result<Token, PortalError> {
-        self.users.verify(name, password)?;
-        Ok(self.sessions.issue(name, now))
+        let checked = self.login_begin(name)?.check(password);
+        self.login_commit(checked, now)
+    }
+
+    /// Phase 1 of a login (read guard): capture the account's credential
+    /// record. An unknown user or a locked account is refused here, with
+    /// no password stretch. Phase 2, [`LoginAttempt::check`], stretches the
+    /// password with no portal lock held.
+    pub fn login_begin(&self, name: &str) -> Result<LoginAttempt, PortalError> {
+        Ok(self.users.begin_login(name)?)
+    }
+
+    /// Phase 3 of a login (brief write guard): count the attempt, and
+    /// issue a session only if the password matched a credential record
+    /// that is unchanged and not locked since the attempt began.
+    pub fn login_commit(&mut self, checked: CheckedLogin, now: u64) -> Result<Token, PortalError> {
+        let user = self.users.settle_login(checked)?;
+        Ok(self.sessions.issue(&user.username, now))
     }
 
     /// Invalidate a token. Idempotent.

@@ -1,24 +1,30 @@
 //! Write facade: mutations. These run under the portal's exclusive write
-//! lock. Crucially [`Portal::tick`] — the scheduler's logical clock and
-//! everything it drives (dispatch, VM execution of batch jobs, metric
-//! sampling, SLO evaluation) — stays single-writer, which is what keeps
-//! the tick-domain determinism suites byte-identical: there is exactly
-//! one mutation order per seed, regardless of how many front-end threads
-//! or reactor workers are serving requests.
+//! lock. Every state change of [`Portal::tick`] — the scheduler's logical
+//! clock, dispatch, landing each job's outcome, metric sampling, SLO
+//! evaluation — stays single-writer, which is what keeps the tick-domain
+//! determinism suites byte-identical: there is exactly one mutation order
+//! per seed, regardless of how many front-end threads or reactor workers
+//! are serving requests. The VM execution between dispatch and outcome is
+//! split out ([`Portal::tick_begin`] → [`TickPhase::run`] →
+//! [`Portal::tick_commit`]) so that it holds no portal lock.
 //!
 //! The file-manager mutations take `&self` (the vfs carries its own
-//! lock), but the web layer still routes them through the write guard so
-//! a rename cannot interleave with a tick that executes against the same
-//! home directory.
+//! lock); the web layer still routes them through the write guard. A
+//! running job, like an interactive run, reaches the vfs with no portal
+//! lock, one host-I/O call at a time under the vfs lock, so a save may
+//! land between two of a running program's file calls, as it could on a
+//! cluster's shared filesystem.
 
 use super::Portal;
 use crate::error::PortalError;
 use auth::{Role, Token};
 use cluster::SlaveId;
-use obs::TraceContext;
+use obs::{Obs, TraceContext};
 use sched::{JobId, JobSpec, JobState};
-use std::sync::{Arc, PoisonError};
-use toolchain::ArtifactId;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Instant;
+use toolchain::{Artifact, ArtifactId, ExecReport, ExecutorError};
+use vfs::Vfs;
 
 impl Portal {
     // ---- admin -------------------------------------------------------------
@@ -172,34 +178,73 @@ impl Portal {
 
     /// Advance the distributor one tick. Newly dispatched jobs execute on
     /// the VM now: their streams fill and their true runtime (derived from
-    /// instructions executed) replaces the estimate.
+    /// instructions executed) replaces the estimate. One call, all three
+    /// phases: [`Portal::tick_begin`], [`TickPhase::run`],
+    /// [`Portal::tick_commit`].
     pub fn tick(&mut self) -> Vec<JobId> {
-        let t0 = std::time::Instant::now();
+        let done = self.tick_begin().run();
+        self.tick_commit(done)
+    }
+
+    /// Phase 1 of a tick (write guard): advance the distributor, then
+    /// capture what each job it dispatched needs to execute: artifact,
+    /// user, stdin and seed. The clock moves here, so it only ever moves
+    /// under exclusive access. The caller must not begin another tick
+    /// before this one's commit (the web layer holds a tick gate across
+    /// all three phases), or the second tick could complete a job whose
+    /// outcome has not landed.
+    pub fn tick_begin(&mut self) -> TickPhase {
+        let started = Instant::now();
         let dispatched = self.scheduler.tick();
-        let now_tick = self.scheduler.now();
-        for &id in &dispatched {
-            let (artifact, user, stdin): (String, String, Vec<String>) = {
+        let jobs = dispatched
+            .into_iter()
+            .map(|id| {
                 let job = self.scheduler.job(id).expect("just dispatched");
-                (
-                    job.spec.executable.clone(),
-                    job.spec.user.clone(),
-                    job.streams.stdin.iter().cloned().collect(),
-                )
-            };
-            let aid = ArtifactId::from_string(artifact);
-            let report = toolchain::exec::run(
-                &self.artifacts,
-                &aid,
-                self.config.seed ^ id.0,
-                Arc::clone(&self.fs),
-                &user,
-                &stdin,
-                &self.obs,
+                let aid = ArtifactId::from_string(job.spec.executable.clone());
+                DispatchedJob {
+                    id,
+                    artifact: self.artifacts.get(&aid).cloned(),
+                    aid,
+                    user: job.spec.user.clone(),
+                    stdin: job.streams.stdin.iter().cloned().collect(),
+                    seed: self.config.seed ^ id.0,
+                }
+            })
+            .collect();
+        TickPhase {
+            started,
+            now_tick: self.scheduler.now(),
+            jobs,
+            fs: Arc::clone(&self.fs),
+            obs: Arc::clone(&self.obs),
+            analyze: self.config.auto_analyze.then(|| Arc::clone(&self.pool)),
+        }
+    }
+
+    /// Phase 3 of a tick (write guard): land each job's outcome through
+    /// the journaled scheduler, in dispatch order, then compact the
+    /// journal if due and sample the dashboard families. A job that left
+    /// `Running` between begin and commit (cancelled in the gap) keeps its
+    /// state, and its outcome is dropped. Returns the ids dispatched.
+    pub fn tick_commit(&mut self, done: TickDone) -> Vec<JobId> {
+        let TickDone {
+            started,
+            now_tick,
+            outcomes,
+        } = done;
+        let ipt = self.config.instructions_per_tick.max(1);
+        for outcome in &outcomes {
+            let id = outcome.id;
+            let still_running = matches!(
+                self.scheduler.job(id).map(|j| &j.state),
+                Ok(JobState::Running { started_at }) if *started_at == now_tick
             );
-            let ipt = self.config.instructions_per_tick.max(1);
+            if !still_running {
+                continue;
+            }
             // Route the outcome through the scheduler so it lands in the
             // journal: VM output is not re-derivable at recovery time.
-            let (stdout, stderr, ticks) = match &report {
+            let (stdout, stderr, ticks) = match &outcome.report {
                 Ok(r) => (
                     r.outcome.as_ref().map(|o| o.stdout.clone()),
                     r.error.as_ref().map(|e| e.to_string()),
@@ -231,41 +276,30 @@ impl Portal {
                     .scheduler
                     .set_outcome(id, stdout.as_deref(), stderr.as_deref(), ticks);
             }
-            if self.config.auto_analyze {
-                self.auto_analyze(id, &aid, now_tick);
+            // The checker's verdict joins the job's causal tree. The pool's
+            // reports are bit-identical across worker counts, so the span
+            // is too.
+            if let (Some(report), Some(ctx)) = (&outcome.analysis, self.scheduler.job_trace(id)) {
+                self.obs.tracer.event_child(
+                    ctx.parent,
+                    "checker.analyze",
+                    now_tick,
+                    &[
+                        ("job", &id.0.to_string()),
+                        ("verdict", report.verdict.class()),
+                        ("schedules", &report.schedules.to_string()),
+                    ],
+                );
             }
         }
         super::durable::compact_if_due(self.journal.as_deref(), &self.vfs(), &self.scheduler);
         self.obs
             .profiler
-            .observe("sched.tick", t0.elapsed().as_micros() as u64, || {
-                format!("tick {now_tick}: {} dispatched", dispatched.len())
+            .observe("sched.tick", started.elapsed().as_micros() as u64, || {
+                format!("tick {now_tick}: {} dispatched", outcomes.len())
             });
         self.sample_metrics(now_tick);
-        dispatched
-    }
-
-    /// Run the systematic checker over an executed job's program and
-    /// record the verdict as a `checker.analyze` child in its trace —
-    /// the checker layer of the job's causal tree. The pool's reports
-    /// are bit-identical across worker counts, so the span is too.
-    fn auto_analyze(&mut self, id: JobId, aid: &ArtifactId, now_tick: u64) {
-        let Some(program) = self.artifacts.get(aid).map(|a| a.program.clone()) else {
-            return;
-        };
-        let report = self.pool.check(&program, &checker::CheckConfig::default());
-        if let Some(ctx) = self.scheduler.job_trace(id) {
-            self.obs.tracer.event_child(
-                ctx.parent,
-                "checker.analyze",
-                now_tick,
-                &[
-                    ("job", &id.0.to_string()),
-                    ("verdict", report.verdict.class()),
-                    ("schedules", &report.schedules.to_string()),
-                ],
-            );
-        }
+        outcomes.into_iter().map(|o| o.id).collect()
     }
 
     /// Capture the dashboard families into the time-series store and
@@ -345,4 +379,83 @@ impl Portal {
             .flush()
             .map_err(|e| vfs::VfsError::Wal(e.to_string()).into())
     }
+}
+
+/// One job a tick dispatched, with everything its execution needs.
+struct DispatchedJob {
+    id: JobId,
+    aid: ArtifactId,
+    /// `None` when the artifact is gone from the store.
+    artifact: Option<Artifact>,
+    user: String,
+    stdin: Vec<String>,
+    seed: u64,
+}
+
+/// A tick whose dispatch happened, with its jobs ready to execute without
+/// the portal lock.
+pub struct TickPhase {
+    started: Instant,
+    now_tick: u64,
+    jobs: Vec<DispatchedJob>,
+    fs: Arc<Mutex<Vfs>>,
+    obs: Arc<Obs>,
+    /// The checker pool, when `auto_analyze` is on.
+    analyze: Option<Arc<checker::Pool>>,
+}
+
+impl TickPhase {
+    /// Phase 2: execute each dispatched job on the VM, in dispatch order,
+    /// and analyze its program when `auto_analyze` is on. No portal lock
+    /// is held: the vfs is locked per host-I/O call, and polls, saves and
+    /// other sessions' requests run meanwhile.
+    pub fn run(self) -> TickDone {
+        let outcomes = self
+            .jobs
+            .into_iter()
+            .map(|job| {
+                let report = match &job.artifact {
+                    Some(art) => Ok(toolchain::exec::run_artifact(
+                        art,
+                        job.seed,
+                        Arc::clone(&self.fs),
+                        &job.user,
+                        &job.stdin,
+                        &self.obs,
+                    )),
+                    None => Err(toolchain::exec::missing_artifact(&job.aid, &self.obs)),
+                };
+                let analysis = match (&self.analyze, &job.artifact) {
+                    (Some(pool), Some(art)) => {
+                        Some(pool.check(&art.program, &checker::CheckConfig::default()))
+                    }
+                    _ => None,
+                };
+                JobOutcome {
+                    id: job.id,
+                    report,
+                    analysis,
+                }
+            })
+            .collect();
+        TickDone {
+            started: self.started,
+            now_tick: self.now_tick,
+            outcomes,
+        }
+    }
+}
+
+/// What one dispatched job's execution produced.
+struct JobOutcome {
+    id: JobId,
+    report: Result<ExecReport, ExecutorError>,
+    analysis: Option<checker::CheckReport>,
+}
+
+/// A tick whose jobs ran, awaiting [`Portal::tick_commit`].
+pub struct TickDone {
+    started: Instant,
+    now_tick: u64,
+    outcomes: Vec<JobOutcome>,
 }

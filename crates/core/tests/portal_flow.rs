@@ -668,3 +668,56 @@ fn vm_file_io_lands_in_portal_home() {
     p.run_interactive(&t, &art, 0, 0).unwrap();
     assert_eq!(p.read_file(&t, "result.txt", 0).unwrap(), b"computed");
 }
+
+#[test]
+fn a_job_cancelled_mid_tick_stays_cancelled_with_no_outcome_across_a_restart() {
+    let dir = std::env::temp_dir().join(format!("ccp-cancel-gap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = PortalConfig {
+        cluster: ClusterSpec::small(1, 1),
+        data_dir: Some(dir.clone()),
+        ..PortalConfig::default()
+    };
+    let mut p = Portal::new(config.clone());
+    p.bootstrap_admin("admin", "super-secret9").unwrap();
+    let t = student(&mut p, "alice");
+    p.write_file(
+        &t,
+        "out.mini",
+        b"fn main() { println(\"ran\"); }".to_vec(),
+        0,
+    )
+    .unwrap();
+    let artifact = p.compile(&t, "out.mini", 0).unwrap().artifact.unwrap();
+    let id = p.submit_job(&t, artifact.as_str(), 1, 5, 0).unwrap();
+
+    // The tick dispatches the job; the owner cancels it while the job
+    // executes with no portal lock; the tick's commit then lands nothing.
+    let phase = p.tick_begin();
+    p.cancel_job(&t, id, 0).unwrap();
+    let done = phase.run();
+    assert_eq!(p.tick_commit(done), vec![id]);
+    for _ in 0..3 {
+        p.tick();
+    }
+    let job = p.job(&t, id, 0).unwrap();
+    assert_eq!(job.state, JobState::Cancelled { at: 1 });
+    assert_eq!((job.stdout.as_str(), job.stderr.as_str()), ("", ""));
+    let state = |p: &mut Portal| {
+        let j = p.scheduler_mut().job(id).unwrap();
+        (
+            j.state.clone(),
+            j.streams.stdout.clone(),
+            j.streams.stderr.clone(),
+            j.spec.actual_ticks,
+        )
+    };
+    let before = state(&mut p);
+    p.flush_wal().unwrap();
+    drop(p);
+
+    let mut restarted = Portal::new(config);
+    assert_eq!(restarted.wal_error(), None);
+    assert_eq!(state(&mut restarted), before);
+    let _ = std::fs::remove_dir_all(&dir);
+}

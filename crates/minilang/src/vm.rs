@@ -615,8 +615,10 @@ impl Vm {
             if self.all_finished() {
                 break;
             }
-            let ready = self.enabled_threads();
-            if ready.is_empty() {
+            // The ready threads are walked in place, never collected: this
+            // runs once per slice of 1–8 instructions.
+            let mut ready = (0..self.threads.len()).filter(|&t| self.is_ready(t));
+            let Some(first_ready) = ready.next() else {
                 // Maybe everyone is asleep: jump the clock.
                 if self.advance_clock() {
                     continue;
@@ -624,14 +626,14 @@ impl Vm {
                 // Not asleep, not ready, not finished: deadlock.
                 let blocked = self.describe_blocked();
                 return Err(RuntimeError::Deadlock { blocked });
-            }
+            };
             let (tid, quantum) = match self.config.policy {
                 SchedPolicy::RoundRobin => {
                     // Next ready thread at or after the cursor.
-                    let tid = *ready
-                        .iter()
-                        .find(|&&t| t >= self.rr_cursor)
-                        .unwrap_or(&ready[0]);
+                    let tid = std::iter::once(first_ready)
+                        .chain(ready)
+                        .find(|&t| t >= self.rr_cursor)
+                        .unwrap_or(first_ready);
                     self.rr_cursor = tid + 1;
                     if self.rr_cursor >= self.threads.len() {
                         self.rr_cursor = 0;
@@ -639,7 +641,12 @@ impl Vm {
                     (tid, self.config.quantum.max(1))
                 }
                 SchedPolicy::RandomPreempt => {
-                    let tid = ready[self.rng.gen_range(0..ready.len())];
+                    let count = 1 + ready.count();
+                    let k = self.rng.gen_range(0..count);
+                    let tid = (first_ready..self.threads.len())
+                        .filter(|&t| self.is_ready(t))
+                        .nth(k)
+                        .expect("k is below the ready count");
                     let q = self.rng.gen_range(1..=self.config.quantum.max(1));
                     (tid, q)
                 }

@@ -190,3 +190,91 @@ fn next_op_peeks_without_perturbing() {
     );
     assert_eq!(vm.outcome().main_result, minilang::Value::Int(7));
 }
+
+/// Programs whose ready sets have gaps: threads blocked on a lock, on a
+/// join or asleep sit between runnable ones, so picking "the k-th ready
+/// thread" and "the thread at or after the cursor" both matter.
+const CONTENDED: [&str; 3] = [
+    RACY_COUNTER,
+    r#"
+var n = 0;
+var m;
+fn w(k) {
+    var i = 0;
+    while (i < 10) { lock(m); n = n + k; unlock(m); i = i + 1; }
+}
+fn main() {
+    m = mutex();
+    var a = spawn w(1);
+    var b = spawn w(2);
+    var c = spawn w(3);
+    var d = spawn w(4);
+    join(a);
+    join(b);
+    join(c);
+    join(d);
+    println(n);
+    return n;
+}
+"#,
+    r#"
+var order = 0;
+fn w(id) {
+    var i = 0;
+    while (i < 3) {
+        order = order * 7 + id;
+        println("w", id, " step ", i);
+        sleep(id * 3);
+        i = i + 1;
+    }
+}
+fn main() {
+    var a = spawn w(1);
+    var b = spawn w(2);
+    var c = spawn w(3);
+    join(b);
+    join(a);
+    join(c);
+    return order;
+}
+"#,
+];
+
+/// `Vm::run`'s choice of thread and slice, pinned over seeds, both
+/// policies and three quanta: one FNV-1a digest of every run's stdout,
+/// result, instruction count and context switches. Drawing the thread
+/// and the slice length in another order, or picking a different ready
+/// thread for the same draw, changes it.
+#[test]
+fn run_loop_schedule_is_pinned() {
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            digest ^= b as u64;
+            digest = digest.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for src in CONTENDED {
+        let prog = compile(src).unwrap();
+        for policy in [SchedPolicy::RandomPreempt, SchedPolicy::RoundRobin] {
+            for quantum in [1, 3, 8] {
+                for seed in [0u64, 1, 2, 3, 7, 42, 1234, 0xdead_beef] {
+                    let cfg = VmConfig {
+                        seed,
+                        quantum,
+                        policy,
+                        ..VmConfig::default()
+                    };
+                    let out = Vm::new(prog.clone(), cfg).run().unwrap();
+                    feed(out.stdout.as_bytes());
+                    feed(format!("{:?}", out.main_result).as_bytes());
+                    feed(&out.executed.to_le_bytes());
+                    feed(&out.context_switches.to_le_bytes());
+                }
+            }
+        }
+    }
+    // Recorded from `Vm::run` as it collected the ready threads into a
+    // fresh `Vec` per slice.
+    assert_eq!(digest, 0xd3c6_1153_d1e3_b32a);
+}

@@ -34,7 +34,6 @@ pub mod event;
 pub mod link;
 pub mod network;
 pub mod routing;
-pub mod stats;
 pub mod time;
 pub mod topology;
 pub mod traffic;
@@ -46,7 +45,6 @@ pub mod prelude {
     pub use crate::link::{Link, LinkProfile};
     pub use crate::network::{MessageCost, Network, NetworkError};
     pub use crate::routing::{route, RouteError};
-    pub use crate::stats::{Counter, Histogram};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{NodeId, Topology, TopologyKind};
     pub use crate::traffic::{Flow, Pattern};

@@ -4,11 +4,12 @@
 //! This is the paper's "executor object, which in turn upon success contacts
 //! a job distributor" (§II) — the distributor half lives in `ccp-core`,
 //! which submits these executions as jobs; this module is the part that
-//! actually runs bytecode. [`run`] looks a stored artifact up first (the
-//! distributor's tick); [`run_artifact`] runs one the caller already holds
-//! (an interactive run, which clones the artifact under the portal lock).
+//! actually runs bytecode. [`run_artifact`] runs an artifact the caller
+//! cloned out of the store under the portal lock (an interactive run, or a
+//! job the distributor's tick dispatched); [`missing_artifact`] records a
+//! dispatched job whose artifact is gone.
 
-use crate::artifact::{Artifact, ArtifactId, ArtifactStore};
+use crate::artifact::{Artifact, ArtifactId};
 use minilang::{ExecOutcome, HostIo, RuntimeError, Vm, VmConfig};
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -107,30 +108,18 @@ impl ExecReport {
     }
 }
 
-/// Run the stored artifact `id` as `user` under scheduler `seed`, with
-/// filesystem access through `fs` and `stdin` lines queued for
-/// `read_line()`. A missing artifact is recorded as a failed execution
-/// and returned as an error; everything else is [`run_artifact`].
-pub fn run(
-    store: &ArtifactStore,
-    id: &ArtifactId,
-    seed: u64,
-    fs: Arc<Mutex<Vfs>>,
-    user: &str,
-    stdin: &[String],
-    obs: &obs::Obs,
-) -> Result<ExecReport, ExecutorError> {
-    let Some(art) = store.get(id) else {
-        record_exec_metrics(obs, "error", 0, None);
-        return Err(ExecutorError::NoSuchArtifact(id.to_string()));
-    };
-    Ok(run_artifact(art, seed, fs, user, stdin, obs))
+/// Record a dispatch whose artifact is gone from the store as a failed
+/// execution, and return the error the job reports.
+pub fn missing_artifact(id: &ArtifactId, obs: &obs::Obs) -> ExecutorError {
+    record_exec_metrics(obs, "error", 0, None);
+    ExecutorError::NoSuchArtifact(id.to_string())
 }
 
-/// Run an already-fetched [`Artifact`]: a caller that cloned the artifact
-/// under one lock can execute it later with no store access at all (the
-/// program rides in the artifact). Infallible — the VM's own failures land
-/// in the report. Records execution telemetry into `obs`: a
+/// Run an [`Artifact`] as `user` under scheduler `seed`, with filesystem
+/// access through `fs` and `stdin` lines queued for `read_line()`. The
+/// caller cloned the artifact out of the store under the portal lock, so
+/// the run needs no store access at all (the program rides in the
+/// artifact). Infallible — the VM's own failures land in the report. Records execution telemetry into `obs`: a
 /// `ccp_toolchain_execs_total{result}` counter, a wall-clock duration
 /// histogram, and a (deterministic) instruction-count histogram.
 pub fn run_artifact(
@@ -209,6 +198,7 @@ fn record_exec_metrics(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::ArtifactStore;
     use crate::language::LanguageId;
 
     fn setup(src: &str) -> (Arc<Mutex<Vfs>>, ArtifactStore, ArtifactId) {
@@ -226,20 +216,22 @@ mod tests {
         (Arc::new(Mutex::new(fs)), store, id)
     }
 
-    /// [`run`] with no stdin, telemetry discarded.
+    /// [`run_artifact`] on a stored artifact, no stdin, telemetry
+    /// discarded.
     fn run_stored(
         store: &ArtifactStore,
         id: &ArtifactId,
         seed: u64,
         fs: Arc<Mutex<Vfs>>,
-    ) -> Result<ExecReport, ExecutorError> {
-        run(store, id, seed, fs, "alice", &[], &obs::Obs::new())
+    ) -> ExecReport {
+        let art = store.get(id).expect("stored artifact");
+        run_artifact(art, seed, fs, "alice", &[], &obs::Obs::new())
     }
 
     #[test]
     fn run_captures_stdout() {
         let (fs, store, id) = setup("fn main() { println(\"hi\"); }");
-        let report = run_stored(&store, &id, 0, fs).unwrap();
+        let report = run_stored(&store, &id, 0, fs);
         assert!(report.success());
         assert_eq!(report.outcome.unwrap().stdout, "hi\n");
     }
@@ -247,7 +239,7 @@ mod tests {
     #[test]
     fn relative_paths_resolve_to_home() {
         let (fs, store, id) = setup(r#"fn main() { write_file("out.txt", "data"); }"#);
-        let report = run_stored(&store, &id, 0, Arc::clone(&fs)).unwrap();
+        let report = run_stored(&store, &id, 0, Arc::clone(&fs));
         assert!(report.success(), "{:?}", report.error);
         let content = fs
             .lock()
@@ -260,22 +252,26 @@ mod tests {
     #[test]
     fn permission_errors_surface_as_io() {
         let (fs, store, id) = setup(r#"fn main() { write_file("/home/root-owned.txt", "x"); }"#);
-        let report = run_stored(&store, &id, 0, fs).unwrap();
+        let report = run_stored(&store, &id, 0, fs);
         assert!(!report.success());
         assert!(matches!(report.error, Some(RuntimeError::Io(_))));
     }
 
     #[test]
     fn missing_artifact_error() {
-        let (fs, store, _) = setup("fn main() { }");
-        let err = run_stored(&store, &ArtifactId::from_string("feedbeef"), 0, fs).unwrap_err();
-        assert!(matches!(err, ExecutorError::NoSuchArtifact(_)));
+        let obs = obs::Obs::new();
+        let err = missing_artifact(&ArtifactId::from_string("feedbeef"), &obs);
+        assert_eq!(err.to_string(), "no such artifact feedbeef");
+        let failed = obs
+            .metrics
+            .counter("ccp_toolchain_execs_total", &[("result", "error")]);
+        assert_eq!(failed.get(), 1);
     }
 
     #[test]
     fn deadlock_reported_not_hung() {
         let (fs, store, id) = setup("fn main() { var m = mutex(); lock(m); lock(m); }");
-        let report = run_stored(&store, &id, 0, fs).unwrap();
+        let report = run_stored(&store, &id, 0, fs);
         assert!(matches!(report.error, Some(RuntimeError::Deadlock { .. })));
     }
 
@@ -287,8 +283,8 @@ mod tests {
             fn main() { var a = spawn w(); var b = spawn w(); join(a); join(b); return counter; }
         "#;
         let (fs, store, id) = setup(src);
-        let r1 = run_stored(&store, &id, 3, Arc::clone(&fs)).unwrap();
-        let r2 = run_stored(&store, &id, 3, fs).unwrap();
+        let r1 = run_stored(&store, &id, 3, Arc::clone(&fs));
+        let r2 = run_stored(&store, &id, 3, fs);
         assert_eq!(
             r1.outcome.unwrap().main_result,
             r2.outcome.unwrap().main_result

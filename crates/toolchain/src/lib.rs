@@ -15,9 +15,8 @@
 //! * [`pipeline`] — `CompileRequest` objects: read source from the [`vfs`],
 //!   compile through the cache, collect gcc-style diagnostics, store the
 //!   artifact;
-//! * [`exec`] — [`exec::run`] and [`exec::run_artifact`]: run an artifact
-//!   on a VM wired to the user's vfs home, with stdin injection and
-//!   captured streams.
+//! * [`exec`] — [`exec::run_artifact`]: run an artifact on a VM wired to
+//!   the user's vfs home, with stdin injection and captured streams.
 
 pub mod artifact;
 pub mod cache;

@@ -6,13 +6,20 @@ use httpd::forms::{multipart_boundary, parse_cookies, parse_multipart, parse_que
 use httpd::json::{quantile_json, Json};
 use httpd::{Method, Request, Response, Router, Server, ServerConfig, ServerHandle, Status};
 use sched::JobId;
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// The shared application state.
+///
+/// Lock order: tick gate → portal guard → vfs lock → journal. Nothing
+/// takes the tick gate while it holds the portal guard.
 pub struct App {
-    /// The portal backend. Reads share; mutations and ticks are exclusive.
+    /// The portal backend. Reads share; mutations are exclusive.
     pub portal: RwLock<Portal>,
+    /// Held by a tick from before its begin until after its commit, so
+    /// ticks never interleave: a second tick's dispatch never runs before
+    /// the first tick's outcomes land.
+    tick_gate: Mutex<()>,
     /// The portal's telemetry domain, `Arc`-shared out so metrics render
     /// and route instrumentation never need a portal lock.
     obs: Arc<obs::Obs>,
@@ -21,14 +28,37 @@ pub struct App {
 impl App {
     /// Wrap a portal: read-mostly routes share an `RwLock` read guard,
     /// mutations take the write guard, and the heavy operations (compile,
-    /// run, analyze) run their expensive middle phase with no portal lock
-    /// held at all.
+    /// run, analyze, a tick's job executions, a login's password stretch)
+    /// run their expensive middle phase with no portal lock held at all.
     pub fn new(portal: Portal) -> Arc<App> {
         let obs = Arc::clone(portal.obs());
         Arc::new(App {
             portal: RwLock::new(portal),
+            tick_gate: Mutex::new(()),
             obs,
         })
+    }
+
+    /// Advance the distributor one tick for `token`'s session: dispatch
+    /// under the write guard, execute the dispatched jobs with no portal
+    /// lock, land their outcomes under the write guard, all inside the
+    /// tick gate.
+    fn tick(&self, token: &Token) -> Result<Vec<JobId>, PortalError> {
+        // The gate guards no data, so a tick that panicked leaves nothing
+        // half-updated behind it.
+        let _gate = self
+            .tick_gate
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        // Validation and dispatch happen under ONE acquisition: a token
+        // revoked between two separate lock takes could otherwise still
+        // drive the clock (TOCTOU).
+        let phase = self.write(|p| {
+            p.whoami(token, now())?;
+            Ok::<_, PortalError>(p.tick_begin())
+        })?;
+        let done = phase.run();
+        Ok(self.write(|p| p.tick_commit(done)))
     }
 
     /// The portal's telemetry domain, lock-free.
@@ -167,7 +197,12 @@ pub fn build_router(app: Arc<App>) -> Router {
             else {
                 return Response::error(Status::BAD_REQUEST, "need user and password");
             };
-            let token = try_portal!(app.write(|p| p.login(&user, &password, now())));
+            // The credential is read under the read guard and the password
+            // stretched with no portal lock; only counting the attempt and
+            // issuing the session take the write guard.
+            let attempt = try_portal!(app.read(|p| p.login_begin(&user)));
+            let checked = attempt.check(&password);
+            let token = try_portal!(app.write(|p| p.login_commit(checked, now())));
             Response::json(
                 Status::OK,
                 &Json::obj(vec![
@@ -456,6 +491,8 @@ pub fn build_router(app: Arc<App>) -> Router {
             let seed: u64 = qparam(req, "seed")
                 .and_then(|s| s.parse().ok())
                 .unwrap_or(0);
+            // A bogus session gets its 401 before the body is split.
+            try_portal!(app.read(|p| p.whoami(&token, now())));
             let stdin: Vec<String> = req.body_str().lines().map(String::from).collect();
             // The whole VM execution runs without the portal lock; only
             // the begin/finish bookends touch it, both briefly.
@@ -631,13 +668,7 @@ pub fn build_router(app: Arc<App>) -> Router {
             let token = need_token!(req);
             // Only authenticated users may pump the clock (any role: the
             // test driver and the background ticker both authenticate).
-            // Validation and the tick happen under ONE acquisition: a
-            // token revoked between two separate lock takes could
-            // otherwise still drive the clock (TOCTOU).
-            let dispatched = try_portal!(app.write(|p| {
-                p.whoami(&token, now())?;
-                Ok::<_, PortalError>(p.tick())
-            }));
+            let dispatched = try_portal!(app.tick(&token));
             Response::json(
                 Status::OK,
                 &Json::obj(vec![(

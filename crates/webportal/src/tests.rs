@@ -1154,3 +1154,157 @@ fn analyze_endpoint_clean_program_and_ownership() {
     );
     assert_eq!(resp.status, Status::UNAUTHORIZED);
 }
+
+/// Save and compile `src` as `path`, returning the artifact id.
+fn compile_source(router: &Router, tok: &str, path: &str, src: &str) -> String {
+    let resp = dispatch(
+        router,
+        Method::Post,
+        &format!("/api/file?path={path}"),
+        src.as_bytes(),
+        Some(tok),
+    );
+    assert_eq!(resp.status, Status::CREATED, "{}", resp.body_str());
+    let resp = dispatch(
+        router,
+        Method::Post,
+        &format!("/api/compile?path={path}"),
+        b"",
+        Some(tok),
+    );
+    json_of(&resp)
+        .get("artifact")
+        .and_then(Json::as_str)
+        .expect("compiles")
+        .to_string()
+}
+
+/// Loops of different lengths, each submitted with a one-tick estimate:
+/// a tick that began before an earlier tick's outcomes landed would
+/// complete them at that estimate, with no output.
+const LOOP_BOUNDS: [u32; 6] = [1_500, 4_000, 9_000, 2_500, 7_000, 12_000];
+const TICKERS: usize = 4;
+const TICKS_EACH: usize = 8;
+
+/// Submit one job per [`LOOP_BOUNDS`] entry, then tick `TICKERS *
+/// TICKS_EACH` times from `TICKERS` threads at once (or from one), and
+/// return each job's `(state, stdout)` plus the instructions its program
+/// executes.
+fn tick_loops(concurrent: bool) -> Vec<(String, String, u64)> {
+    let (app, router) = test_app();
+    let router = Arc::new(router);
+    let tok = make_student(&app, &router, "alice");
+    let jobs: Vec<(u64, u64)> = LOOP_BOUNDS
+        .iter()
+        .enumerate()
+        .map(|(i, n)| {
+            let src =
+                format!("fn main() {{ var i = 0; while (i < {n}) {{ i = i + 1; }} println(i); }}");
+            let artifact = compile_source(&router, &tok, &format!("loop{i}.mini"), &src);
+            let run = dispatch(
+                &router,
+                Method::Post,
+                &format!("/api/run?artifact={artifact}"),
+                b"",
+                Some(&tok),
+            );
+            let executed = json_of(&run)
+                .get("executed")
+                .and_then(Json::as_num)
+                .unwrap() as u64;
+            let body = format!(r#"{{"artifact":"{artifact}","cores":1,"estimated_ticks":1}}"#);
+            let resp = dispatch(
+                &router,
+                Method::Post,
+                "/api/jobs",
+                body.as_bytes(),
+                Some(&tok),
+            );
+            assert_eq!(resp.status, Status::CREATED, "{}", resp.body_str());
+            let id = json_of(&resp).get("job").and_then(Json::as_num).unwrap() as u64;
+            (id, executed)
+        })
+        .collect();
+    let tick = |router: &Router| {
+        let resp = dispatch(router, Method::Post, "/api/tick", b"", Some(&tok));
+        assert_eq!(resp.status, Status::OK, "{}", resp.body_str());
+    };
+    if concurrent {
+        let start = std::sync::Barrier::new(TICKERS);
+        std::thread::scope(|s| {
+            for _ in 0..TICKERS {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..TICKS_EACH {
+                        tick(&router);
+                    }
+                });
+            }
+        });
+    } else {
+        for _ in 0..TICKERS * TICKS_EACH {
+            tick(&router);
+        }
+    }
+    jobs.into_iter()
+        .map(|(id, executed)| {
+            let resp = dispatch(
+                &router,
+                Method::Get,
+                &format!("/api/jobs/{id}"),
+                b"",
+                Some(&tok),
+            );
+            let j = json_of(&resp);
+            let field = |k: &str| j.get(k).and_then(Json::as_str).unwrap().to_string();
+            (field("state"), field("stdout"), executed)
+        })
+        .collect()
+}
+
+#[test]
+fn concurrent_ticks_serialize_and_complete_jobs_on_time() {
+    let sequential = tick_loops(false);
+    let concurrent = tick_loops(true);
+    assert_eq!(concurrent, sequential);
+    let ipt = PortalConfig::default().instructions_per_tick;
+    for ((state, stdout, executed), n) in concurrent.iter().zip(LOOP_BOUNDS) {
+        // Dispatched at tick 1, done `executed / ipt + 1` ticks later.
+        let at = 1 + executed / ipt + 1;
+        assert_eq!(state, &format!("completed at t={at}"));
+        assert_eq!(stdout, &format!("{n}\n"));
+    }
+}
+
+#[test]
+fn concurrent_wrong_guesses_lock_the_account() {
+    let (app, router) = test_app();
+    make_student(&app, &router, "alice");
+    let guess = |password: &str| {
+        let body = format!(r#"{{"user":"alice","password":"{password}"}}"#);
+        dispatch(&router, Method::Post, "/api/login", body.as_bytes(), None)
+    };
+    // As many wrong guesses as the lockout threshold, all stretching at
+    // once.
+    const GUESSES: usize = 5;
+    let start = std::sync::Barrier::new(GUESSES);
+    let answers: Vec<Response> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..GUESSES)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    guess("wrong-guess")
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let locked = |r: &Response| r.body_str().contains("locked");
+    assert!(answers.iter().all(|r| r.status == Status::UNAUTHORIZED));
+    assert_eq!(answers.iter().filter(|r| locked(r)).count(), 1);
+    // The right password now meets a locked account: no session.
+    let resp = guess("password99");
+    assert_eq!(resp.status, Status::UNAUTHORIZED);
+    assert!(locked(&resp), "{}", resp.body_str());
+    assert!(resp.header("set-cookie").is_none());
+}
