@@ -10,6 +10,12 @@
 //! buffer. Request bodies come from unauthenticated clients, so a parse
 //! that rescans the rest of the input per character would let one 8 MiB
 //! body hold a worker for minutes.
+//!
+//! [`write_str`] and [`write_num`] are the encoder's two leaf formats.
+//! A route that emits many rows of one fixed shape calls them directly
+//! and writes each row into the body without building a tree; it must
+//! write object keys in the sorted order [`Json::Obj`] uses, so its bytes
+//! equal [`Json::write_into`]'s.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -355,10 +361,10 @@ impl<'a> JsonParser<'a> {
     }
 }
 
-/// Append `s` as a quoted JSON string. Plain runs go in with one
-/// `push_str`; every byte that needs an escape is ASCII, so each run ends
-/// on a char boundary.
-fn escape_into(s: &str, out: &mut String) {
+/// Append `s` as a quoted JSON string, as [`Json::write_into`] writes a
+/// [`Json::Str`]. Plain runs go in with one `push_str`; every byte that
+/// needs an escape is ASCII, so each run ends on a char boundary.
+pub fn write_str(s: &str, out: &mut String) {
     out.push('"');
     let mut plain = 0;
     for (i, c) in s.bytes().enumerate() {
@@ -385,6 +391,17 @@ fn escape_into(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Append `n` as [`Json::write_into`] writes a [`Json::Num`]: integral
+/// values below 9e15 without a fraction.
+pub fn write_num(n: f64, out: &mut String) {
+    // Writing into a `String` cannot fail.
+    let _ = if n.fract() == 0.0 && n.abs() < 9.0e15 {
+        write!(out, "{}", n as i64)
+    } else {
+        write!(out, "{n}")
+    };
+}
+
 impl Json {
     /// Append this value's JSON text to `out`: object keys in sorted
     /// order, integral numbers below 9e15 without a fraction, control
@@ -393,15 +410,8 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                // Writing into a `String` cannot fail.
-                let _ = if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                    write!(out, "{}", *n as i64)
-                } else {
-                    write!(out, "{n}")
-                };
-            }
-            Json::Str(s) => escape_into(s, out),
+            Json::Num(n) => write_num(*n, out),
+            Json::Str(s) => write_str(s, out),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -418,7 +428,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    escape_into(k, out);
+                    write_str(k, out);
                     out.push(':');
                     v.write_into(out);
                 }

@@ -20,7 +20,7 @@
 //! time from submission across every attempt.
 
 use crate::accounting::{Accounting, UserUsage};
-use crate::job::{JobId, JobKind, JobRecord, JobSpec, JobState, StdStreams};
+use crate::job::{JobId, JobRecord, JobSpec, JobState, StdStreams};
 use crate::journal::{
     dec_alloc, dec_health, dec_node, dec_spec, dec_state, dec_streams, enc_alloc, enc_health,
     enc_node, enc_spec, enc_state, enc_streams, SchedRecord,
@@ -201,6 +201,12 @@ pub struct Scheduler {
     cluster: Cluster,
     policy: SchedPolicyKind,
     jobs: BTreeMap<JobId, JobRecord>,
+    /// Each user's job ids in id order, so one student's job list costs
+    /// their own rows, not a walk of every job the class submitted. Kept
+    /// in step with `jobs` by [`Scheduler::submit_inner`] (which replay
+    /// goes through too) and [`Scheduler::restore_snapshot`]; jobs are
+    /// never removed and their owner never changes.
+    by_owner: BTreeMap<String, Vec<JobId>>,
     /// FIFO of pending job ids.
     queue: Vec<JobId>,
     next_id: u64,
@@ -243,6 +249,7 @@ impl Scheduler {
             cluster,
             policy,
             jobs: BTreeMap::new(),
+            by_owner: BTreeMap::new(),
             queue: Vec::new(),
             next_id: 1,
             now: 0,
@@ -447,6 +454,7 @@ impl Scheduler {
             ],
         );
         self.next_id += 1;
+        self.by_owner.entry(spec.user.clone()).or_default().push(id);
         self.jobs.insert(
             id,
             JobRecord {
@@ -482,7 +490,8 @@ impl Scheduler {
         self.jobs.get(&id).ok_or(SchedError::NoSuchJob(id))
     }
 
-    /// Mutable job access (the portal appends stdin through this).
+    /// Mutable job access. `spec.user` must not change through it: the
+    /// per-owner index behind [`Scheduler::jobs_of`] does not follow it.
     pub fn job_mut(&mut self, id: JobId) -> Result<&mut JobRecord, SchedError> {
         self.jobs.get_mut(&id).ok_or(SchedError::NoSuchJob(id))
     }
@@ -490,6 +499,16 @@ impl Scheduler {
     /// All jobs, id-ordered.
     pub fn jobs(&self) -> impl Iterator<Item = &JobRecord> {
         self.jobs.values()
+    }
+
+    /// `user`'s jobs, id-ordered: the rows of [`Scheduler::jobs`] whose
+    /// `spec.user` is `user`, found through the per-owner index.
+    pub fn jobs_of<'a>(&'a self, user: &str) -> impl Iterator<Item = &'a JobRecord> + 'a {
+        self.by_owner
+            .get(user)
+            .into_iter()
+            .flatten()
+            .filter_map(|id| self.jobs.get(id))
     }
 
     /// Ids of currently pending jobs, queue-ordered.
@@ -635,9 +654,7 @@ impl Scheduler {
     /// idempotent, so exposition readers may also call it defensively.
     pub fn publish_gauges(&self) {
         self.metrics.queue_depth.set(self.queue.len() as i64);
-        self.metrics
-            .jobs_running
-            .set(self.jobs.values().filter(|j| j.state.is_running()).count() as i64);
+        self.metrics.jobs_running.set(self.running_count() as i64);
         self.cluster.publish_gauges();
     }
 
@@ -909,11 +926,7 @@ impl Scheduler {
             let Some(j) = self.jobs.get(&id) else {
                 continue;
             };
-            let (cores_needed, is_interactive) = (
-                j.spec.cores_needed(),
-                matches!(j.spec.kind, JobKind::Interactive),
-            );
-            let _ = is_interactive;
+            let cores_needed = j.spec.cores_needed();
             // Placement: round-robin prefers a segment, falling back to any.
             let preferred = self
                 .policy
@@ -1158,6 +1171,13 @@ impl Scheduler {
                     recovery_wait_ticks,
                 },
             );
+        }
+        self.by_owner = BTreeMap::new();
+        for job in self.jobs.values() {
+            self.by_owner
+                .entry(job.spec.user.clone())
+                .or_default()
+                .push(job.id);
         }
         let n_users = d.u32().map_err(bad)?;
         self.accounting = Accounting::new();

@@ -1308,3 +1308,224 @@ fn concurrent_wrong_guesses_lock_the_account() {
     assert!(locked(&resp), "{}", resp.body_str());
     assert!(resp.header("set-cookie").is_none());
 }
+
+/// Submit `artifact` as a job on `cores` cores, returning its id.
+fn submit_job(router: &Router, tok: &str, artifact: &str, cores: u32) -> u64 {
+    let body = format!(r#"{{"artifact":"{artifact}","cores":{cores},"estimated_ticks":1}}"#);
+    let resp = dispatch(
+        router,
+        Method::Post,
+        "/api/jobs",
+        body.as_bytes(),
+        Some(tok),
+    );
+    assert_eq!(resp.status, Status::CREATED, "{}", resp.body_str());
+    json_of(&resp).get("job").and_then(Json::as_num).unwrap() as u64
+}
+
+#[test]
+fn stdout_tail_reports_where_its_data_starts() {
+    let (app, router) = test_app();
+    let tok = make_student(&app, &router, "alice");
+    let artifact = compile_source(&router, &tok, "quiet.mini", "fn main() { }");
+    let id = submit_job(&router, &tok, &artifact, 1);
+    app.write(|p| {
+        p.scheduler_mut()
+            .set_outcome(sched::JobId(id), Some("é\n"), None, None)
+    })
+    .unwrap();
+    // Byte 1 is inside "é": the data starts at the next boundary, byte 2,
+    // and the reply says so, so a client can splice `data` in at `from`.
+    for (from, data, start) in [
+        (0, "é\n", 0),
+        (1, "\n", 2),
+        (2, "\n", 2),
+        (3, "", 3),
+        (9, "", 3),
+    ] {
+        let resp = dispatch(
+            &router,
+            Method::Get,
+            &format!("/api/jobs/{id}/stdout?from={from}"),
+            b"",
+            Some(&tok),
+        );
+        assert_eq!(resp.status, Status::OK);
+        assert_eq!(
+            resp.body_str(),
+            format!(r#"{{"data":{},"from":{start},"len":3}}"#, Json::str(data)),
+            "from={from}"
+        );
+    }
+}
+
+/// The tree each job row was built as before the routes wrote rows
+/// straight into the body: the oracle for their bytes.
+fn job_row_tree(j: &ccp_core::JobView) -> Json {
+    Json::obj(vec![
+        ("id", Json::num(j.id.0 as f64)),
+        ("user", Json::str(j.user.clone())),
+        ("executable", Json::str(j.executable.clone())),
+        ("state", Json::str(j.state_label.clone())),
+        ("cores", Json::num(j.cores as f64)),
+        ("attempt", Json::num(j.attempt as f64)),
+        (
+            "last_failure",
+            j.last_failure
+                .as_ref()
+                .map(|f| Json::str(f.clone()))
+                .unwrap_or(Json::Null),
+        ),
+        ("stdout", Json::str(j.stdout.clone())),
+        ("stderr", Json::str(j.stderr.clone())),
+    ])
+}
+
+#[test]
+fn job_routes_write_the_bytes_of_the_row_tree() {
+    let (app, router) = test_app();
+    let alice = make_student(&app, &router, "alice");
+    let bob = make_student(&app, &router, "bob");
+    let carol = make_student(&app, &router, "carol");
+    let admin = login(&router, "admin", "super-secret9");
+    let art_a = compile_source(&router, &alice, "a.mini", "fn main() { }");
+    let art_b = compile_source(&router, &bob, "b.mini", "fn main() { }");
+    let tick = || {
+        let resp = dispatch(&router, Method::Post, "/api/tick", b"", Some(&admin));
+        assert_eq!(resp.status, Status::OK, "{}", resp.body_str());
+    };
+    let set_every_node = |health: cluster::NodeHealth| {
+        app.write(|p| {
+            let s = p.scheduler_mut();
+            for node in s.cluster().slave_ids() {
+                s.cluster_mut().set_health(node, health).unwrap();
+            }
+        })
+    };
+
+    // alice's first job completes.
+    let done = submit_job(&router, &alice, &art_a, 1);
+    for _ in 0..3 {
+        tick();
+    }
+    // Her second is requeued with a failure cause by taking every node
+    // down, as in `job_json_reports_attempts_and_failure_cause`: its true
+    // runtime is stretched so the loss lands while it runs, and a long
+    // backoff keeps it requeued once the nodes are back.
+    let requeued = submit_job(&router, &alice, &art_a, 1);
+    tick();
+    app.write(|p| {
+        let s = p.scheduler_mut();
+        let spec = &mut s.job_mut(sched::JobId(requeued)).unwrap().spec;
+        spec.actual_ticks = 100;
+        spec.retry = Some(sched::RetryPolicy::fixed(3, 1_000));
+    });
+    set_every_node(cluster::NodeHealth::Down);
+    tick();
+    set_every_node(cluster::NodeHealth::Up);
+    // bob's first job is dispatched by the last tick, so it is running.
+    let running = submit_job(&router, &bob, &art_b, 2);
+    tick();
+    let cancelled = submit_job(&router, &bob, &art_b, 1);
+    let resp = dispatch(
+        &router,
+        Method::Post,
+        &format!("/api/jobs/{cancelled}/cancel"),
+        b"",
+        Some(&bob),
+    );
+    assert_eq!(resp.status, Status::OK, "{}", resp.body_str());
+    let pending = submit_job(&router, &alice, &art_a, 1);
+
+    // Every escape class, and text that passes through raw.
+    let nasty = "q\" b\\ s/ n\n t\t r\r 0\u{0} 7\u{7} 1b\u{1b} 1f\u{1f} 7f\u{7f} é ☃ 𝄞";
+    app.write(|p| {
+        let s = p.scheduler_mut();
+        for (id, out, err) in [
+            (done, Some(nasty), None),
+            (running, None, Some(nasty)),
+            (requeued, Some(nasty), Some("\r\n\t")),
+            (cancelled, Some("\u{1}"), Some(nasty)),
+        ] {
+            s.set_outcome(sched::JobId(id), out, err, None).unwrap();
+        }
+    });
+
+    let wall_now = || {
+        std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .as_secs()
+    };
+    let oracle_list = |tok: &str| {
+        let token = auth::Token::from_string(tok.to_string());
+        let rows = app.read(|p| p.jobs(&token, wall_now())).unwrap();
+        Json::Arr(rows.iter().map(job_row_tree).collect()).to_string()
+    };
+    let list = |tok: &str| {
+        let resp = dispatch(&router, Method::Get, "/api/jobs", b"", Some(tok));
+        assert_eq!(resp.status, Status::OK);
+        assert_eq!(resp.header("Content-Type"), Some("application/json"));
+        resp.body_str().to_string()
+    };
+
+    // The admin sees every state, with and without a failure cause.
+    let all = Json::parse(&list(&admin)).unwrap();
+    let rows = all.as_arr().unwrap();
+    assert_eq!(rows.len(), 5);
+    let field = |row: &Json, k: &str| row.get(k).and_then(Json::as_str).map(str::to_string);
+    let states: Vec<String> = rows.iter().map(|r| field(r, "state").unwrap()).collect();
+    for prefix in ["completed", "running", "requeued", "cancelled", "pending"] {
+        assert!(states.iter().any(|s| s.starts_with(prefix)), "{states:?}");
+    }
+    assert!(rows
+        .iter()
+        .any(|r| r.get("last_failure") == Some(&Json::Null)));
+    let lost_row = rows
+        .iter()
+        .find(|r| r.get("id").and_then(Json::as_num) == Some(requeued as f64))
+        .unwrap();
+    assert_eq!(
+        field(lost_row, "last_failure").as_deref(),
+        Some("node went down")
+    );
+
+    for tok in [&alice, &bob, &carol, &admin] {
+        assert_eq!(list(tok), oracle_list(tok));
+    }
+    assert_eq!(list(&carol), "[]");
+    // A student's list is exactly their rows of the admin's list.
+    for (tok, user) in [(&alice, "alice"), (&bob, "bob")] {
+        let mine: Vec<Json> = rows
+            .iter()
+            .filter(|r| field(r, "user").as_deref() == Some(user))
+            .cloned()
+            .collect();
+        assert_eq!(Json::parse(&list(tok)).unwrap(), Json::Arr(mine));
+    }
+
+    for (id, owner) in [
+        (done, &alice),
+        (running, &bob),
+        (requeued, &alice),
+        (cancelled, &bob),
+        (pending, &alice),
+    ] {
+        for tok in [owner, &admin] {
+            let resp = dispatch(
+                &router,
+                Method::Get,
+                &format!("/api/jobs/{id}"),
+                b"",
+                Some(tok),
+            );
+            assert_eq!(resp.status, Status::OK);
+            assert_eq!(resp.header("Content-Type"), Some("application/json"));
+            let token = auth::Token::from_string(tok.to_string());
+            let view = app
+                .read(|p| p.job(&token, sched::JobId(id), wall_now()))
+                .unwrap();
+            assert_eq!(resp.body_str(), job_row_tree(&view).to_string());
+        }
+    }
+}

@@ -640,3 +640,84 @@ fn pooled_check_equals_serial() {
         );
     }
 }
+
+// ---- sched per-owner index -------------------------------------------------
+
+/// `Scheduler::jobs_of` keeps each user's ids in step with the job table
+/// through interleaved submits, ticks and cancels, and through both ways a
+/// restart rebuilds the table: restoring a snapshot then replaying the
+/// records after it, and replaying every record from an empty scheduler.
+#[test]
+fn per_owner_index_matches_a_walk_of_every_job() {
+    use sched::{JobId, JobSpec, SchedPolicyKind, SchedRecord, Scheduler};
+    const USERS: [&str; 4] = ["ann", "ben", "cy", "nobody"];
+    let fresh = || {
+        Scheduler::new(
+            cluster::Cluster::new(cluster::ClusterSpec::small(2, 2)),
+            SchedPolicyKind::Fifo,
+        )
+    };
+    let check = |s: &Scheduler, case: &str| {
+        for user in USERS {
+            let indexed: Vec<JobId> = s.jobs_of(user).map(|j| j.id).collect();
+            let walked: Vec<JobId> = s
+                .jobs()
+                .filter(|j| j.spec.user == user)
+                .map(|j| j.id)
+                .collect();
+            assert_eq!(indexed, walked, "{case}, user {user}");
+        }
+    };
+    let mut rng = SplitMix64::new(16);
+    for seed in 0..24 {
+        let mut s = fresh();
+        let mut log: Vec<SchedRecord> = Vec::new();
+        let mut snapshot = (s.snapshot_bytes(), 0);
+        let mut submitted = 0;
+        for step in 0..160 {
+            let case = format!("seed {seed}, step {step}");
+            match rng.gen_range(0..10usize) {
+                0..=4 => {
+                    // The last user never submits: an owner with no jobs.
+                    let user = USERS[rng.gen_range(0..3usize)];
+                    let cores = rng.gen_range(1..=6u32);
+                    let spec = JobSpec::parallel(user, "a.out", cores, rng.gen_range(1..6u64));
+                    s.submit(spec.clone()).unwrap();
+                    submitted += 1;
+                    log.push(SchedRecord::Submit { spec });
+                }
+                5 => {
+                    // One id past the last: cancelling no job changes nothing.
+                    let id = JobId(rng.gen_range(1..=submitted + 1));
+                    if s.cancel(id).is_ok() {
+                        log.push(SchedRecord::Cancel { id });
+                    }
+                }
+                6 => snapshot = (s.snapshot_bytes(), log.len()),
+                7 => {
+                    let mut restored = fresh();
+                    restored.restore_snapshot(&snapshot.0).unwrap();
+                    check(&restored, &format!("{case}, snapshot only"));
+                    for rec in &log[snapshot.1..] {
+                        restored.apply_record(rec).unwrap();
+                    }
+                    assert_eq!(restored.snapshot_bytes(), s.snapshot_bytes(), "{case}");
+                    s = restored;
+                }
+                8 => {
+                    let mut replayed = fresh();
+                    for rec in &log {
+                        replayed.apply_record(rec).unwrap();
+                    }
+                    assert_eq!(replayed.snapshot_bytes(), s.snapshot_bytes(), "{case}");
+                    s = replayed;
+                }
+                _ => {
+                    s.tick();
+                    log.push(SchedRecord::Tick);
+                }
+            }
+            check(&s, &case);
+        }
+    }
+}

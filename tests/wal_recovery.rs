@@ -21,6 +21,7 @@ use sched::{JobId, JobSpec, JobState, RetryPolicy, SchedPolicyKind, SchedRecord,
 use std::sync::{Arc, Mutex};
 use vfs::{Vfs, VfsRecord};
 use wal::{FsyncPolicy, Journal, MemStorage, Recovered, Stream};
+use webportal::{app::dispatch, build_router, App};
 
 /// Deterministic splitmix64 so the op script and crash point derive from
 /// the seed alone (no rand dependency, no flaky schedules).
@@ -577,6 +578,104 @@ fn file_traffic_alone_compacts_and_the_snapshot_restores_both_substrates() {
         JobState::Pending,
         "the job submitted before the saves is in the snapshot"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A student's `GET /api/jobs` reads the scheduler's per-owner index,
+/// which a restart rebuilds from the snapshot and then from the replayed
+/// tail. Two students interleave past one snapshot interval, so both
+/// paths fill each student's list, and every list comes back byte for
+/// byte.
+#[test]
+fn job_lists_survive_a_restart_through_a_snapshot_and_a_tail() {
+    let dir = std::env::temp_dir().join(format!("ccp-wal-job-lists-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = PortalConfig {
+        wal_fsync: FsyncPolicy::EveryN(8),
+        ..durable_config(&dir)
+    };
+    const ADMIN: (&str, &str) = ("admin", "pw-123456");
+    const STUDENTS: [(&str, &str); 2] = [("alice", "alice-pw-1"), ("bob", "bob-pw-22")];
+    // Credentials are not journaled, so every boot registers the accounts
+    // again, as perfbench's fixture does.
+    let boot = || {
+        let mut portal = Portal::new(cfg.clone());
+        portal.bootstrap_admin(ADMIN.0, ADMIN.1).unwrap();
+        let admin = portal.login(ADMIN.0, ADMIN.1, 0).unwrap();
+        for (user, password) in STUDENTS {
+            portal
+                .create_user(&admin, user, password, auth::Role::Student, 0)
+                .unwrap();
+        }
+        portal.logout(&admin);
+        let app = App::new(portal);
+        let router = build_router(Arc::clone(&app));
+        (app, router)
+    };
+    let list = |router: &httpd::Router, (user, password): (&str, &str)| {
+        let body = format!(r#"{{"user":"{user}","password":"{password}"}}"#);
+        let login = dispatch(
+            router,
+            httpd::Method::Post,
+            "/api/login",
+            body.as_bytes(),
+            None,
+        );
+        let login = httpd::Json::parse(login.body_str()).unwrap();
+        let token = login.get("token").and_then(httpd::Json::as_str).unwrap();
+        let resp = dispatch(router, httpd::Method::Get, "/api/jobs", b"", Some(token));
+        assert_eq!(resp.status, httpd::Status::OK);
+        resp.body_str().to_string()
+    };
+    let everyone = [STUDENTS[0], STUDENTS[1], ADMIN];
+
+    let (before, submitted) = {
+        let (app, router) = boot();
+        let students: Vec<(auth::Token, String)> = STUDENTS
+            .iter()
+            .map(|&(user, password)| {
+                app.write(|p| {
+                    let tok = p.login(user, password, 0).unwrap();
+                    p.write_file(&tok, "p.mini", b"fn main() { println(1); }".to_vec(), 0)
+                        .unwrap();
+                    let art = p.compile(&tok, "p.mini", 0).unwrap().artifact.unwrap();
+                    (tok, art.as_str().to_string())
+                })
+            })
+            .collect();
+        let mut submitted = 0;
+        app.write(|p| {
+            for round in 0..600u64 {
+                // alice submits on every round, bob on two of three.
+                for (i, (tok, art)) in students.iter().enumerate() {
+                    if i == 1 && round % 3 == 0 {
+                        continue;
+                    }
+                    let id = p.submit_job(tok, art, 1, 3, 0).unwrap();
+                    submitted += 1;
+                    if round % 7 == 0 {
+                        p.cancel_job(tok, id, 0).unwrap();
+                    }
+                }
+                if round % 5 == 0 {
+                    p.tick();
+                }
+            }
+        });
+        let before: Vec<String> = everyone.iter().map(|&u| list(&router, u)).collect();
+        (before, submitted)
+    };
+    assert_eq!(files_in(&dir), ["portal.snap", "portal.wal"]);
+
+    let (app, router) = boot();
+    let rec = app.read(|p| p.health_view()).recovery.unwrap();
+    assert!(rec.snapshot_lsn.is_some(), "{rec:?}");
+    assert!(rec.records_replayed > 0, "{rec:?}");
+    assert_eq!((rec.corrupt_records, rec.replay_errors), (0, 0));
+    let after: Vec<String> = everyone.iter().map(|&u| list(&router, u)).collect();
+    assert_eq!(after, before);
+    let all = httpd::Json::parse(&after[2]).unwrap();
+    assert_eq!(all.as_arr().unwrap().len(), submitted);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
