@@ -179,6 +179,7 @@ impl Portal {
             .unwrap_or_else(checker::Pool::default_workers);
         let pool = Arc::new(checker::Pool::new(workers).with_obs(Arc::clone(&obs)));
         toolchain::cache::register_cache_metrics(&obs);
+        toolchain::exec::register_exec_metrics(&obs);
         durable::register_wal_metrics(&obs);
         let store = TimeSeriesStore::new(TS_CAPACITY, &Portal::DASHBOARD_FAMILIES);
         let slo = SloEngine::new(default_slos(), &obs.metrics);

@@ -7,6 +7,7 @@
 //! (thread, mutex, semaphore, channel ids) are carried as dedicated
 //! variants to catch misuse (e.g. `lock()` on a number that is not a mutex).
 
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -87,25 +88,89 @@ impl Value {
     /// Structural equality (used by `==`). Arrays compare element-wise.
     pub(crate) fn eq_value(&self, other: &Value) -> bool {
         match (self, other) {
-            (Value::Int(a), Value::Int(b)) => a == b,
-            (Value::Bool(a), Value::Bool(b)) => a == b,
-            (Value::Str(a), Value::Str(b)) => a == b,
-            (Value::Unit, Value::Unit) => true,
-            (Value::Thread(a), Value::Thread(b)) => a == b,
-            (Value::Mutex(a), Value::Mutex(b)) => a == b,
-            (Value::Semaphore(a), Value::Semaphore(b)) => a == b,
-            (Value::Channel(a), Value::Channel(b)) => a == b,
-            (Value::Cond(a), Value::Cond(b)) => a == b,
-            (Value::Array(a), Value::Array(b)) => {
-                if Arc::ptr_eq(a, b) {
-                    return true;
-                }
-                let (a, b) = (lock_array(a), lock_array(b));
-                a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x.eq_value(y))
-            }
-            _ => false,
+            (Value::Array(a), Value::Array(b)) => arrays_eq(a, b),
+            (a, b) => scalars_eq(a, b),
         }
     }
+}
+
+/// `==` on anything but two arrays.
+fn scalars_eq(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Int(a), Value::Int(b)) => a == b,
+        (Value::Bool(a), Value::Bool(b)) => a == b,
+        (Value::Str(a), Value::Str(b)) => a == b,
+        (Value::Unit, Value::Unit) => true,
+        (Value::Thread(a), Value::Thread(b)) => a == b,
+        (Value::Mutex(a), Value::Mutex(b)) => a == b,
+        (Value::Semaphore(a), Value::Semaphore(b)) => a == b,
+        (Value::Channel(a), Value::Channel(b)) => a == b,
+        (Value::Cond(a), Value::Cond(b)) => a == b,
+        _ => false,
+    }
+}
+
+/// An array's identity: the address of its shared contents.
+fn array_id(a: &Arc<Mutex<Vec<Value>>>) -> usize {
+    Arc::as_ptr(a) as usize
+}
+
+/// Element-wise `==` on two arrays, depth first. The walk keeps its own
+/// stack and holds one array lock at a time, cloning the elements out
+/// (the lock is not reentrant, and an array may contain itself); a pair
+/// already being compared further up the path counts as equal, so cyclic
+/// arrays compare in finite time.
+fn arrays_eq(a: &Arc<Mutex<Vec<Value>>>, b: &Arc<Mutex<Vec<Value>>>) -> bool {
+    struct Pair {
+        ids: (usize, usize),
+        left: Vec<Value>,
+        right: Vec<Value>,
+        next: usize,
+    }
+    let open = |a: &Arc<Mutex<Vec<Value>>>, b: &Arc<Mutex<Vec<Value>>>| {
+        let left = lock_array(a).clone();
+        let right = lock_array(b).clone();
+        (left.len() == right.len()).then(|| Pair {
+            ids: (array_id(a), array_id(b)),
+            left,
+            right,
+            next: 0,
+        })
+    };
+    if Arc::ptr_eq(a, b) {
+        return true;
+    }
+    let Some(root) = open(a, b) else {
+        return false;
+    };
+    let mut on_path = HashSet::from([root.ids]);
+    let mut path = vec![root];
+    while let Some(top) = path.last_mut() {
+        let Some((x, y)) = top.left.get(top.next).zip(top.right.get(top.next)) else {
+            on_path.remove(&top.ids);
+            path.pop();
+            continue;
+        };
+        top.next += 1;
+        match (x, y) {
+            (Value::Array(x), Value::Array(y)) => {
+                if Arc::ptr_eq(x, y) || on_path.contains(&(array_id(x), array_id(y))) {
+                    continue;
+                }
+                let Some(pair) = open(x, y) else {
+                    return false;
+                };
+                on_path.insert(pair.ids);
+                path.push(pair);
+            }
+            (x, y) => {
+                if !scalars_eq(x, y) {
+                    return false;
+                }
+            }
+        }
+    }
+    true
 }
 
 impl PartialEq for Value {
@@ -117,28 +182,67 @@ impl PartialEq for Value {
 }
 
 impl fmt::Display for Value {
+    /// Arrays print element by element with the walk `arrays_eq` uses:
+    /// one lock at a time, elements cloned out. An array already being
+    /// printed further up the path prints as `[...]`; an array that is
+    /// merely shared prints in full each time.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Int(v) => write!(f, "{v}"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Str(s) => write!(f, "{s}"),
-            Value::Array(a) => {
-                write!(f, "[")?;
-                for (i, v) in lock_array(a).iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                write!(f, "]")
-            }
-            Value::Thread(t) => write!(f, "<thread {t}>"),
-            Value::Mutex(m) => write!(f, "<mutex {m}>"),
-            Value::Semaphore(s) => write!(f, "<semaphore {s}>"),
-            Value::Channel(c) => write!(f, "<channel {c}>"),
-            Value::Cond(c) => write!(f, "<condvar {c}>"),
-            Value::Unit => write!(f, "()"),
+        struct Open {
+            id: usize,
+            items: Vec<Value>,
+            next: usize,
         }
+        let open = |a: &Arc<Mutex<Vec<Value>>>| Open {
+            id: array_id(a),
+            items: lock_array(a).clone(),
+            next: 0,
+        };
+        let root = match self {
+            Value::Array(a) => open(a),
+            scalar => return fmt_scalar(scalar, f),
+        };
+        write!(f, "[")?;
+        let mut on_path = HashSet::from([root.id]);
+        let mut path = vec![root];
+        while let Some(top) = path.last_mut() {
+            let Some(item) = top.items.get(top.next) else {
+                on_path.remove(&top.id);
+                path.pop();
+                write!(f, "]")?;
+                continue;
+            };
+            if top.next > 0 {
+                write!(f, ", ")?;
+            }
+            top.next += 1;
+            match item {
+                Value::Array(a) if on_path.contains(&array_id(a)) => write!(f, "[...]")?,
+                Value::Array(a) => {
+                    let inner = open(a);
+                    on_path.insert(inner.id);
+                    path.push(inner);
+                    write!(f, "[")?;
+                }
+                scalar => fmt_scalar(scalar, f)?,
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Print anything but an array.
+fn fmt_scalar(v: &Value, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    match v {
+        Value::Int(v) => write!(f, "{v}"),
+        Value::Bool(b) => write!(f, "{b}"),
+        Value::Str(s) => write!(f, "{s}"),
+        Value::Array(_) => unreachable!("arrays print through `Display`"),
+        Value::Thread(t) => write!(f, "<thread {t}>"),
+        Value::Mutex(m) => write!(f, "<mutex {m}>"),
+        Value::Semaphore(s) => write!(f, "<semaphore {s}>"),
+        Value::Channel(c) => write!(f, "<channel {c}>"),
+        Value::Cond(c) => write!(f, "<condvar {c}>"),
+        Value::Unit => write!(f, "()"),
     }
 }
 

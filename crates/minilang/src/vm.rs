@@ -612,13 +612,12 @@ impl Vm {
     /// Execute to completion.
     pub fn run(&mut self) -> Result<ExecOutcome, RuntimeError> {
         loop {
-            if self.all_finished() {
-                break;
-            }
-            // The ready threads are walked in place, never collected: this
-            // runs once per slice of 1–8 instructions.
+            // The ready threads are walked in place, never collected.
             let mut ready = (0..self.threads.len()).filter(|&t| self.is_ready(t));
             let Some(first_ready) = ready.next() else {
+                if self.all_finished() {
+                    break;
+                }
                 // Maybe everyone is asleep: jump the clock.
                 if self.advance_clock() {
                     continue;
@@ -627,37 +626,60 @@ impl Vm {
                 let blocked = self.describe_blocked();
                 return Err(RuntimeError::Deadlock { blocked });
             };
-            let (tid, quantum) = match self.config.policy {
-                SchedPolicy::RoundRobin => {
-                    // Next ready thread at or after the cursor.
-                    let tid = std::iter::once(first_ready)
-                        .chain(ready)
-                        .find(|&t| t >= self.rr_cursor)
-                        .unwrap_or(first_ready);
-                    self.rr_cursor = tid + 1;
-                    if self.rr_cursor >= self.threads.len() {
-                        self.rr_cursor = 0;
-                    }
-                    (tid, self.config.quantum.max(1))
-                }
-                SchedPolicy::RandomPreempt => {
-                    let count = 1 + ready.count();
-                    let k = self.rng.gen_range(0..count);
-                    let tid = (first_ready..self.threads.len())
-                        .filter(|&t| self.is_ready(t))
-                        .nth(k)
-                        .expect("k is below the ready count");
-                    let q = self.rng.gen_range(1..=self.config.quantum.max(1));
-                    (tid, q)
-                }
+            let count = 1 + ready.count();
+            let (tid, quantum) = self.start_slice(first_ready, count);
+            let alone_until = match count {
+                1 => self.next_wake().unwrap_or(u64::MAX),
+                _ => 0,
             };
-            if self.record {
-                self.sched_trace.push((tid, quantum));
-            }
-            self.context_switches += 1;
-            self.run_slice(tid, quantum)?;
+            self.run_slice(tid, quantum, alone_until)?;
         }
         Ok(self.outcome())
+    }
+
+    /// Pick the next slice among `count` ready threads, the first of them
+    /// `first_ready`, as the policy does, and count (and record) it.
+    fn start_slice(&mut self, first_ready: usize, count: usize) -> (usize, u32) {
+        let quantum = self.config.quantum.max(1);
+        let (tid, quantum) = match self.config.policy {
+            SchedPolicy::RoundRobin => {
+                // Next ready thread at or after the cursor.
+                let tid = match count {
+                    1 => first_ready,
+                    _ => (first_ready..self.threads.len())
+                        .filter(|&t| self.is_ready(t))
+                        .find(|&t| t >= self.rr_cursor)
+                        .unwrap_or(first_ready),
+                };
+                self.rr_cursor = tid + 1;
+                if self.rr_cursor >= self.threads.len() {
+                    self.rr_cursor = 0;
+                }
+                (tid, quantum)
+            }
+            SchedPolicy::RandomPreempt => {
+                let tid = match count {
+                    1 => {
+                        // `gen_range(0..1)`'s draw, without its modulo.
+                        self.rng.next_u64();
+                        first_ready
+                    }
+                    _ => {
+                        let k = self.rng.gen_range(0..count);
+                        (first_ready..self.threads.len())
+                            .filter(|&t| self.is_ready(t))
+                            .nth(k)
+                            .expect("k is below the ready count")
+                    }
+                };
+                (tid, self.rng.gen_range(1..=quantum))
+            }
+        };
+        if self.record {
+            self.sched_trace.push((tid, quantum));
+        }
+        self.context_switches += 1;
+        (tid, quantum)
     }
 
     /// Extract the run's results (what [`Vm::run`] returns on completion).
@@ -738,21 +760,24 @@ impl Vm {
     /// When no thread is enabled but some are sleeping, jump the clock to
     /// the earliest wake-up. Returns true if the clock moved.
     pub fn advance_clock(&mut self) -> bool {
-        let min_wake = self
-            .threads
-            .iter()
-            .filter_map(|t| match t.state {
-                ThreadState::Sleeping { until } => Some(until),
-                _ => None,
-            })
-            .min();
-        match min_wake {
+        match self.next_wake() {
             Some(until) if until > self.executed => {
                 self.executed = until;
                 true
             }
             _ => false,
         }
+    }
+
+    /// The earliest deadline of a sleeping thread, if any sleeps.
+    fn next_wake(&self) -> Option<u64> {
+        self.threads
+            .iter()
+            .filter_map(|t| match t.state {
+                ThreadState::Sleeping { until } => Some(until),
+                _ => None,
+            })
+            .min()
     }
 
     /// Run one externally chosen slice: up to `quantum` instructions of
@@ -762,7 +787,7 @@ impl Vm {
             self.sched_trace.push((tid, quantum));
         }
         self.context_switches += 1;
-        self.run_slice(tid, quantum.max(1))
+        self.run_slice(tid, quantum.max(1), 0)
     }
 
     /// Current owner of mutex `m`, if locked.
@@ -945,7 +970,7 @@ impl Vm {
                 continue; // schedule diverged; skip the entry
             }
             self.context_switches += 1;
-            self.run_slice(tid, quantum.max(1))?;
+            self.run_slice(tid, quantum.max(1), 0)?;
         }
         Ok(())
     }
@@ -1208,7 +1233,23 @@ impl Vm {
             .collect()
     }
 
-    fn run_slice(&mut self, tid: usize, quantum: u32) -> Result<(), RuntimeError> {
+    /// Run a slice of up to `quantum` instructions of `tid`.
+    ///
+    /// `alone_until` above the clock says `tid` is the only ready thread
+    /// and no sleeper's deadline comes before `alone_until`. Plain
+    /// instructions change no thread's state, so while `tid` runs only
+    /// those, `run` would pick it again for every slice that starts before
+    /// then. The plain loop then runs on across slice ends, and each slice
+    /// it enters is started ([`Vm::start_slice`]: the same draws, in the
+    /// same order) as the loop returns, before anything else runs. The
+    /// first slice to run another instruction, or to end at or after
+    /// `alone_until`, is the last.
+    fn run_slice(
+        &mut self,
+        tid: usize,
+        quantum: u32,
+        mut alone_until: u64,
+    ) -> Result<(), RuntimeError> {
         // A woken cond-waiter completes the re-acquire phase rather than
         // re-running the wait from scratch.
         if let ThreadState::BlockedCond {
@@ -1221,12 +1262,35 @@ impl Vm {
         }
         // A blocked thread that got scheduled retries its instruction.
         self.threads[tid].state = ThreadState::Runnable;
-        for _ in 0..quantum {
-            if self.executed >= self.config.max_instructions {
+        let mut left = u64::from(quantum);
+        while left > 0 {
+            // One budget check per batch: the batch stops where the
+            // instruction budget does, and where the slice does unless the
+            // next one is `tid`'s too.
+            let room = self.config.max_instructions.saturating_sub(self.executed);
+            if room == 0 {
                 return Err(RuntimeError::BudgetExhausted {
                     executed: self.executed,
                 });
             }
+            let budget = room.min(left.max(alone_until.saturating_sub(self.executed)));
+            let ran = self.run_plain(tid, budget);
+            // Start each slice the batch entered, and end at a slice end
+            // the batch stopped at that comes at or after `alone_until`.
+            let mut past_end = ran;
+            while past_end >= left {
+                past_end -= left;
+                if self.executed - past_end >= alone_until {
+                    return Ok(());
+                }
+                left = u64::from(self.start_slice(tid, 1).1);
+            }
+            left -= past_end;
+            if ran == budget {
+                continue;
+            }
+            left -= 1;
+            alone_until = 0;
             match self.step(tid)? {
                 Step::Continue => {}
                 Step::Blocked | Step::Finished | Step::EndSlice => break,
@@ -1235,7 +1299,111 @@ impl Vm {
         Ok(())
     }
 
-    /// Execute one instruction of thread `tid`.
+    /// Run up to `budget` *plain* instructions of thread `tid` in one loop
+    /// and return how many ran. Plain instructions cannot block, fail,
+    /// record an event or change frames: constants, locals, `Pop`,
+    /// unrecorded globals, arithmetic and comparisons on two ints, and
+    /// jumps on a bool or an int. The loop stops before anything else —
+    /// another instruction, a non-int operand, a zero divisor, a recorded
+    /// access, an empty stack — and leaves that instruction to [`Vm::step`].
+    fn run_plain(&mut self, tid: usize, budget: u64) -> u64 {
+        let Vm {
+            program,
+            globals,
+            threads,
+            executed,
+            record,
+            ..
+        } = self;
+        let thread = &mut threads[tid];
+        let Some(frame) = thread.frames.last_mut() else {
+            return 0;
+        };
+        let code = &program.functions[frame.func].code[..];
+        let consts = &program.consts[..];
+        let stack = &mut thread.stack;
+        let locals = &mut frame.locals;
+        let mut pc = frame.pc;
+        let mut ran = 0;
+        while ran < budget {
+            let Some(&instr) = code.get(pc) else {
+                break;
+            };
+            match instr {
+                Instr::Const(i) => stack.push(consts[i].clone()),
+                Instr::LoadLocal(i) => stack.push(locals[i].clone()),
+                Instr::StoreLocal(i) => {
+                    let Some(v) = stack.pop() else {
+                        break;
+                    };
+                    if locals.len() <= i {
+                        locals.resize(i + 1, Value::Int(0));
+                    }
+                    locals[i] = v;
+                }
+                Instr::Pop => {
+                    if stack.pop().is_none() {
+                        break;
+                    }
+                }
+                Instr::LoadGlobal(i) if !*record => stack.push(globals[i].clone()),
+                Instr::StoreGlobal(i) if !*record => {
+                    let Some(v) = stack.pop() else {
+                        break;
+                    };
+                    globals[i] = v;
+                }
+                Instr::Add
+                | Instr::Sub
+                | Instr::Mul
+                | Instr::Div
+                | Instr::Mod
+                | Instr::CmpEq
+                | Instr::CmpNe
+                | Instr::CmpLt
+                | Instr::CmpLe
+                | Instr::CmpGt
+                | Instr::CmpGe => {
+                    let [.., Value::Int(x), Value::Int(y)] = stack[..] else {
+                        break;
+                    };
+                    let Some(r) = int_binop(instr, x, y) else {
+                        break;
+                    };
+                    stack.pop();
+                    *stack.last_mut().expect("two operands") = r;
+                }
+                Instr::Jump(t) => {
+                    pc = t;
+                    ran += 1;
+                    continue;
+                }
+                Instr::JumpIfFalse(t) | Instr::JumpIfTrue(t) => {
+                    let taken = match stack.last() {
+                        Some(v @ (Value::Bool(_) | Value::Int(_))) => {
+                            v.truthy() == matches!(instr, Instr::JumpIfTrue(_))
+                        }
+                        _ => break,
+                    };
+                    stack.pop();
+                    if taken {
+                        pc = t;
+                        ran += 1;
+                        continue;
+                    }
+                }
+                _ => break,
+            }
+            pc += 1;
+            ran += 1;
+        }
+        frame.pc = pc;
+        *executed += ran;
+        ran
+    }
+
+    /// Execute one instruction of thread `tid`: the one [`Vm::run_plain`]
+    /// stopped before. Every error, event and frame change comes from here.
     fn step(&mut self, tid: usize) -> Result<Step, RuntimeError> {
         let (func, pc) = {
             let f = self.threads[tid]
@@ -1271,22 +1439,14 @@ impl Vm {
         }
 
         match instr {
-            Instr::Const(i) => {
-                let v = self.program.consts[i].clone();
-                push!(v);
+            // `run_plain` runs these whenever the stack holds their operand.
+            Instr::Const(_) | Instr::LoadLocal(_) | Instr::Jump(_) => {
+                return Err(RuntimeError::Internal(format!("{instr:?} left to step")));
             }
-            Instr::LoadLocal(i) => {
-                let v = frame!().locals[i].clone();
-                push!(v);
+            Instr::StoreLocal(_) | Instr::Pop => {
+                return Err(RuntimeError::Internal("stack underflow".into()));
             }
-            Instr::StoreLocal(i) => {
-                let v = pop!();
-                let f = frame!();
-                if f.locals.len() <= i {
-                    f.locals.resize(i + 1, Value::Int(0));
-                }
-                f.locals[i] = v;
-            }
+            // Recorded accesses; `run_plain` runs the unrecorded ones.
             Instr::LoadGlobal(i) => {
                 if self.record {
                     self.events.push(VmEvent::Read {
@@ -1307,41 +1467,26 @@ impl Vm {
                 let v = pop!();
                 self.globals[i] = v;
             }
-            Instr::Add => {
+            Instr::Add
+            | Instr::Sub
+            | Instr::Mul
+            | Instr::Div
+            | Instr::Mod
+            | Instr::CmpEq
+            | Instr::CmpNe
+            | Instr::CmpLt
+            | Instr::CmpLe
+            | Instr::CmpGt
+            | Instr::CmpGe => {
                 let b = pop!();
                 let a = pop!();
-                let r = self.arith_add(a, b)?;
+                let r = match (&a, &b) {
+                    (Value::Int(x), Value::Int(y)) => {
+                        int_binop(instr, *x, *y).ok_or(RuntimeError::DivisionByZero)?
+                    }
+                    _ => mixed_binop(instr, a, b)?,
+                };
                 push!(r);
-            }
-            Instr::Sub => {
-                let b = pop!();
-                let a = pop!();
-                let (x, y) = int_pair(a, b, "-")?;
-                push!(Value::Int(x.wrapping_sub(y)));
-            }
-            Instr::Mul => {
-                let b = pop!();
-                let a = pop!();
-                let (x, y) = int_pair(a, b, "*")?;
-                push!(Value::Int(x.wrapping_mul(y)));
-            }
-            Instr::Div => {
-                let b = pop!();
-                let a = pop!();
-                let (x, y) = int_pair(a, b, "/")?;
-                if y == 0 {
-                    return Err(RuntimeError::DivisionByZero);
-                }
-                push!(Value::Int(x.wrapping_div(y)));
-            }
-            Instr::Mod => {
-                let b = pop!();
-                let a = pop!();
-                let (x, y) = int_pair(a, b, "%")?;
-                if y == 0 {
-                    return Err(RuntimeError::DivisionByZero);
-                }
-                push!(Value::Int(x.wrapping_rem(y)));
             }
             Instr::Neg => {
                 let a = pop!();
@@ -1359,48 +1504,12 @@ impl Vm {
                 let a = pop!();
                 push!(Value::Bool(!a.truthy()));
             }
-            Instr::CmpEq => {
-                let b = pop!();
-                let a = pop!();
-                push!(Value::Bool(a.eq_value(&b)));
-            }
-            Instr::CmpNe => {
-                let b = pop!();
-                let a = pop!();
-                push!(Value::Bool(!a.eq_value(&b)));
-            }
-            Instr::CmpLt | Instr::CmpLe | Instr::CmpGt | Instr::CmpGe => {
-                let b = pop!();
-                let a = pop!();
-                let ord = compare(&a, &b)?;
-                let r = match instr {
-                    Instr::CmpLt => ord.is_lt(),
-                    Instr::CmpLe => ord.is_le(),
-                    Instr::CmpGt => ord.is_gt(),
-                    _ => ord.is_ge(),
-                };
-                push!(Value::Bool(r));
-            }
-            Instr::Jump(t) => {
-                frame!().pc = t;
-                return Ok(Step::Continue);
-            }
-            Instr::JumpIfFalse(t) => {
+            Instr::JumpIfFalse(t) | Instr::JumpIfTrue(t) => {
                 let v = pop!();
-                if !v.truthy() {
+                if v.truthy() == matches!(instr, Instr::JumpIfTrue(_)) {
                     frame!().pc = t;
                     return Ok(Step::Continue);
                 }
-            }
-            Instr::JumpIfTrue(t) => {
-                let v = pop!();
-                if v.truthy() {
-                    frame!().pc = t;
-                    return Ok(Step::Continue);
-                }
-            }
-            Instr::Pop => {
-                let _ = pop!();
             }
             Instr::MakeArray(n) => {
                 let len = self.threads[tid].stack.len();
@@ -1568,19 +1677,6 @@ impl Vm {
             .iter()
             .filter(|t| t.state != ThreadState::Finished)
             .count()
-    }
-
-    fn arith_add(&mut self, a: Value, b: Value) -> Result<Value, RuntimeError> {
-        match (a, b) {
-            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_add(y))),
-            // `+` concatenates when either side is a string (Java-style).
-            (Value::Str(x), y) => Ok(Value::str(format!("{x}{y}"))),
-            (x, Value::Str(y)) => Ok(Value::str(format!("{x}{y}"))),
-            (x, y) => Err(RuntimeError::TypeError {
-                op: "+".into(),
-                found: format!("{} and {}", x.type_name(), y.type_name()),
-            }),
-        }
     }
 
     /// Execute one builtin. Blocking builtins may return [`Step::Blocked`]
@@ -2208,25 +2304,59 @@ fn hash_value(v: &Value, h: &mut Fnv, seen: &mut HashMap<usize, usize>) {
     }
 }
 
-fn int_pair(a: Value, b: Value, op: &str) -> Result<(i64, i64), RuntimeError> {
-    match (a, b) {
-        (Value::Int(x), Value::Int(y)) => Ok((x, y)),
-        (x, y) => Err(RuntimeError::TypeError {
-            op: op.into(),
-            found: format!("{} and {}", x.type_name(), y.type_name()),
-        }),
-    }
+/// What an arithmetic or comparison instruction yields on two ints, or
+/// `None` for a zero divisor. Arithmetic wraps.
+fn int_binop(instr: Instr, x: i64, y: i64) -> Option<Value> {
+    Some(match instr {
+        Instr::Add => Value::Int(x.wrapping_add(y)),
+        Instr::Sub => Value::Int(x.wrapping_sub(y)),
+        Instr::Mul => Value::Int(x.wrapping_mul(y)),
+        Instr::Div if y != 0 => Value::Int(x.wrapping_div(y)),
+        Instr::Mod if y != 0 => Value::Int(x.wrapping_rem(y)),
+        Instr::Div | Instr::Mod => return None,
+        Instr::CmpEq => Value::Bool(x == y),
+        Instr::CmpNe => Value::Bool(x != y),
+        Instr::CmpLt => Value::Bool(x < y),
+        Instr::CmpLe => Value::Bool(x <= y),
+        Instr::CmpGt => Value::Bool(x > y),
+        Instr::CmpGe => Value::Bool(x >= y),
+        _ => unreachable!("{instr:?} is not a binary instruction"),
+    })
 }
 
-fn compare(a: &Value, b: &Value) -> Result<std::cmp::Ordering, RuntimeError> {
-    match (a, b) {
-        (Value::Int(x), Value::Int(y)) => Ok(x.cmp(y)),
-        (Value::Str(x), Value::Str(y)) => Ok(x.cmp(y)),
-        (Value::Bool(x), Value::Bool(y)) => Ok(x.cmp(y)),
-        (x, y) => Err(RuntimeError::TypeError {
-            op: "comparison".into(),
-            found: format!("{} and {}", x.type_name(), y.type_name()),
-        }),
+/// What an arithmetic or comparison instruction yields when its operands
+/// are not two ints: `+` concatenates when either side is a string
+/// (Java-style), `==` and `!=` compare structurally, `<`, `<=`, `>` and
+/// `>=` order two strings or two bools, and the rest is a type error.
+fn mixed_binop(instr: Instr, a: Value, b: Value) -> Result<Value, RuntimeError> {
+    let type_error = |op: &str, a: &Value, b: &Value| RuntimeError::TypeError {
+        op: op.into(),
+        found: format!("{} and {}", a.type_name(), b.type_name()),
+    };
+    match (instr, &a, &b) {
+        (Instr::Add, Value::Str(x), y) => Ok(Value::str(format!("{x}{y}"))),
+        (Instr::Add, x, Value::Str(y)) => Ok(Value::str(format!("{x}{y}"))),
+        (Instr::CmpEq, ..) => Ok(Value::Bool(a.eq_value(&b))),
+        (Instr::CmpNe, ..) => Ok(Value::Bool(!a.eq_value(&b))),
+        (Instr::CmpLt | Instr::CmpLe | Instr::CmpGt | Instr::CmpGe, ..) => {
+            let ord = match (&a, &b) {
+                (Value::Str(x), Value::Str(y)) => x.cmp(y),
+                (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
+                _ => return Err(type_error("comparison", &a, &b)),
+            };
+            Ok(Value::Bool(match instr {
+                Instr::CmpLt => ord.is_lt(),
+                Instr::CmpLe => ord.is_le(),
+                Instr::CmpGt => ord.is_gt(),
+                _ => ord.is_ge(),
+            }))
+        }
+        (Instr::Add, ..) => Err(type_error("+", &a, &b)),
+        (Instr::Sub, ..) => Err(type_error("-", &a, &b)),
+        (Instr::Mul, ..) => Err(type_error("*", &a, &b)),
+        (Instr::Div, ..) => Err(type_error("/", &a, &b)),
+        (Instr::Mod, ..) => Err(type_error("%", &a, &b)),
+        _ => unreachable!("{instr:?} is not a binary instruction"),
     }
 }
 

@@ -805,3 +805,73 @@ fn mesa_semantics_rechecks_predicate() {
         assert_eq!(out.main_result, Value::Int(2), "seed {seed}");
     }
 }
+
+// ---- cyclic arrays -------------------------------------------------------------
+
+/// Run `src` on a thread of its own and fail, rather than hang, if it has
+/// not finished within ten seconds.
+fn run_with_watchdog(src: &'static str) -> minilang::ExecOutcome {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(compile_and_run(src, 0));
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(10))
+        .expect("the program did not finish within 10 s")
+        .unwrap()
+}
+
+#[test]
+fn println_of_a_cyclic_array_marks_the_cycle() {
+    let out = run_with_watchdog("fn main() { var a = [0]; a[0] = a; println(a); }");
+    assert_eq!(out.stdout, "[[...]]\n");
+}
+
+#[test]
+fn str_of_a_cyclic_array_marks_the_cycle() {
+    let out = run_with_watchdog("fn main() { var a = [0]; a[0] = a; return str(a); }");
+    assert_eq!(out.main_result, Value::str("[[...]]"));
+}
+
+#[test]
+fn concatenating_a_cyclic_array_marks_the_cycle() {
+    let out = run_with_watchdog(r#"fn main() { var a = [0]; a[0] = a; return "x" + a; }"#);
+    assert_eq!(out.main_result, Value::str("x[[...]]"));
+}
+
+#[test]
+fn cyclic_arrays_compare_in_finite_time() {
+    let out = run_with_watchdog(
+        r#"
+        fn main() {
+            var a = [0];
+            a[0] = a;
+            var b = [0];
+            b[0] = b;
+            var c = [0, 1];
+            c[0] = c;
+            var d = [0, 2];
+            d[0] = d;
+            println(a == b, " ", a != b, " ", a == a, " ", c == d, " ", a == c);
+            return a == b;
+        }
+    "#,
+    );
+    assert_eq!(out.stdout, "true false true false false\n");
+    assert_eq!(out.main_result, Value::Bool(true));
+}
+
+#[test]
+fn shared_acyclic_arrays_print_in_full() {
+    let out = run_seeded(
+        r#"
+        fn main() {
+            var s = [1, [2]];
+            var p = [s, s, [s]];
+            var q = [[1, [2]], [1, [2]], [[1, [2]]]];
+            println(p, " ", p == q);
+        }
+    "#,
+        0,
+    );
+    assert_eq!(out.stdout, "[[1, [2]], [1, [2]], [[1, [2]]]] true\n");
+}

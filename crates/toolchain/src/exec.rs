@@ -160,13 +160,10 @@ pub fn run_artifact(
     report
 }
 
-/// Shared recorder for the `ccp_toolchain_exec*` families.
-fn record_exec_metrics(
-    obs: &obs::Obs,
-    label: &'static str,
-    duration_us: u64,
-    executed: Option<u64>,
-) {
+/// Describe the `ccp_toolchain_exec*` families once, at boot, so that an
+/// execution only looks its series up. A family renders once its first
+/// execution is recorded.
+pub fn register_exec_metrics(obs: &obs::Obs) {
     let m = &obs.metrics;
     m.describe("ccp_toolchain_execs_total", "artifact executions by result");
     m.describe(
@@ -177,6 +174,16 @@ fn record_exec_metrics(
         "ccp_toolchain_exec_instructions",
         "VM instructions per execution",
     );
+}
+
+/// Shared recorder for the `ccp_toolchain_exec*` families.
+fn record_exec_metrics(
+    obs: &obs::Obs,
+    label: &'static str,
+    duration_us: u64,
+    executed: Option<u64>,
+) {
+    let m = &obs.metrics;
     m.counter("ccp_toolchain_execs_total", &[("result", label)])
         .inc();
     m.histogram(
@@ -266,6 +273,25 @@ mod tests {
             .metrics
             .counter("ccp_toolchain_execs_total", &[("result", "error")]);
         assert_eq!(failed.get(), 1);
+    }
+
+    #[test]
+    fn exec_families_render_from_the_first_execution() {
+        let obs = obs::Obs::new();
+        register_exec_metrics(&obs);
+        assert!(!obs.metrics.render().contains("ccp_toolchain_exec"));
+        let (fs, store, id) = setup("fn main() { }");
+        let art = store.get(&id).expect("stored artifact");
+        assert!(run_artifact(art, 0, fs, "alice", &[], &obs).success());
+        let text = obs.metrics.render();
+        for help in [
+            "# HELP ccp_toolchain_execs_total artifact executions by result\n",
+            "# HELP ccp_toolchain_exec_duration_us execution wall-clock latency\n",
+            "# HELP ccp_toolchain_exec_instructions VM instructions per execution\n",
+        ] {
+            assert!(text.contains(help), "{help}");
+        }
+        assert!(text.contains("ccp_toolchain_execs_total{result=\"ok\"} 1\n"));
     }
 
     #[test]

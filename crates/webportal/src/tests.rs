@@ -1529,3 +1529,78 @@ fn job_routes_write_the_bytes_of_the_row_tree() {
         }
     }
 }
+
+/// A program printing an array that contains itself, through `/api/run`
+/// and as a job through `POST /api/tick`: each answers with the cycle
+/// marked, and the portal keeps serving. Fails, rather than hangs, if a
+/// request has not returned within 30 s.
+#[test]
+fn printing_a_cyclic_array_answers_on_run_and_tick() {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let (app, router) = test_app();
+        let tok = make_student(&app, &router, "alice");
+        let health = |router: &Router| {
+            let resp = dispatch(router, Method::Get, "/api/health", b"", None);
+            assert_eq!(resp.status, Status::OK, "{}", resp.body_str());
+        };
+        let artifact = compile_source(
+            &router,
+            &tok,
+            "cycle.mini",
+            "fn main() { var a = [0]; a[0] = a; println(a); }",
+        );
+        let resp = dispatch(
+            &router,
+            Method::Post,
+            &format!("/api/run?artifact={artifact}"),
+            b"",
+            Some(&tok),
+        );
+        let j = json_of(&resp);
+        assert_eq!(
+            j.get("success").and_then(Json::as_bool),
+            Some(true),
+            "{j:?}"
+        );
+        assert_eq!(j.get("stdout").and_then(Json::as_str), Some("[[...]]\n"));
+        health(&router);
+
+        let body = format!(r#"{{"artifact":"{artifact}","cores":1,"estimated_ticks":1}}"#);
+        let resp = dispatch(
+            &router,
+            Method::Post,
+            "/api/jobs",
+            body.as_bytes(),
+            Some(&tok),
+        );
+        assert_eq!(resp.status, Status::CREATED, "{}", resp.body_str());
+        let id = json_of(&resp).get("job").and_then(Json::as_num).unwrap() as u64;
+        let resp = dispatch(&router, Method::Post, "/api/tick", b"", Some(&tok));
+        assert_eq!(resp.status, Status::OK, "{}", resp.body_str());
+        let resp = dispatch(
+            &router,
+            Method::Get,
+            &format!("/api/jobs/{id}"),
+            b"",
+            Some(&tok),
+        );
+        let j = json_of(&resp);
+        assert_eq!(
+            j.get("stdout").and_then(Json::as_str),
+            Some("[[...]]\n"),
+            "{j:?}"
+        );
+        health(&router);
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(std::time::Duration::from_secs(30)) {
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("a request printing a cyclic array did not return within 30 s")
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            panic!("the test body failed; see its panic above")
+        }
+        Ok(()) => {}
+    }
+}

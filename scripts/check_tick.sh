@@ -1,16 +1,18 @@
 #!/usr/bin/env bash
 # Runaway-job smoke over real sockets: a tick executes its jobs with no
-# portal lock held. Boot the portal, submit `fn main() { while (true) {} }`
-# four times, start POST /api/tick in the background, and while that tick
-# is still running the jobs' 10M-instruction budgets require /api/health
-# and /api/whoami to answer in under 50 ms each.
+# portal lock held. Boot the portal, time one POST /api/run of
+# `fn main() { while (true) {} }` to its 10M-instruction budget, submit
+# that program as enough jobs (4 to 64) for one tick to run them for about
+# a second, start POST /api/tick in the background, and while that tick is
+# still running require /api/health and /api/whoami to answer in under
+# 50 ms each.
 #
 # Usage: check_tick.sh [port]    (default 8147)
 set -euo pipefail
 
 port="${1:-8147}"
 base="http://127.0.0.1:$port"
-jobs=4
+tick_s=1.0
 limit_s=0.050
 server_pid=""
 tick_pid=""
@@ -52,6 +54,17 @@ if [ -z "$art" ]; then
     echo "FAIL: the spinning program did not compile" >&2
     exit 1
 fi
+run_out="$(mktemp)"
+run_s="$(curl -s -o "$run_out" -w '%{time_total}' -X POST "$base/api/run?artifact=$art" \
+    -H "Cookie: sid=$tok")"
+if ! grep -q budget "$run_out"; then
+    echo "FAIL: /api/run of the spinning program did not end on its budget: $(cat "$run_out")" >&2
+    exit 1
+fi
+rm -f "$run_out"
+jobs="$(awk -v t="$run_s" -v want="$tick_s" \
+    'BEGIN { n = int(want / t) + 1; if (n < 4) n = 4; if (n > 64) n = 64; print n }')"
+
 first=""
 for _ in $(seq 1 "$jobs"); do
     id="$(curl -sf -X POST "$base/api/jobs" -H "Cookie: sid=$tok" \
@@ -105,4 +118,4 @@ case "$stderr" in
     ;;
 esac
 
-echo "OK: /api/health ${health_s}s and /api/whoami ${whoami_s}s answered while a tick ran $jobs spinning jobs"
+echo "OK: /api/health ${health_s}s and /api/whoami ${whoami_s}s answered while a tick ran $jobs spinning jobs (one /api/run: ${run_s}s)"
